@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import build_message, polar_transform
-from .engine import DecoderProfile, decode_batch, profile_for
+from .engine import DEFAULT_BATCH, DecoderProfile, decode_batch, profile_for
 
 
 def q_func(x):
@@ -94,7 +94,7 @@ class FERPoint:
 
 def run_fer(spec, profile, snr_db, seed=20260819, L=None,
             arithmetic="quantized", max_frames=1000000, max_errors=100,
-            batch=128, progress=None):
+            batch=DEFAULT_BATCH, progress=None):
     """Measure FER/BER at each Es/N0 point; returns a list of FERPoint.
 
     A frame counts as an error when the decoded payload differs from the

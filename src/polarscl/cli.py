@@ -10,8 +10,14 @@ run that produced it; the same config and seed reproduce the CSV byte for
 byte.
 
 Frame formats: LLR input is one frame per line, N whitespace-separated
-decimals. Bit vectors (payloads in, codewords/decisions out) are
+finite decimals. Bit vectors (payloads in, codewords/decisions out) are
 contiguous 0/1 strings, one per line.
+
+``decode`` reads its input in chunks of ``engine.DEFAULT_BATCH`` frames
+and decodes each chunk in lockstep (``engine.decode_batch``). The output
+is the same as decoding frame by frame: one line per frame, in input
+order. A malformed line ends the run with status 1 after every frame
+before it is written.
 
 Exit status: 0 on success, 2 for an invalid configuration (the message
 names the offending section and key), 1 for runtime failures.
@@ -32,7 +38,7 @@ from .channel import ChannelConfig, run_fer, snr_at_fer
 from .codes import encode, save_code_spec
 from .config import ConfigError, load_config
 from .cycles import calibrate_sort_latency, double_package, latency
-from .engine import decode
+from .engine import DEFAULT_BATCH, decode, decode_batch
 
 
 def _open_in(path):
@@ -82,17 +88,8 @@ def cmd_construct(args):
              ("code.sequence_file", args.sequence_file)]
     cfg = _load(args, extra)
     spec = cfg.build_spec()
-    if args.output in (None, "-"):
-        import tempfile
-        import os
-        fd, tmp = tempfile.mkstemp()
-        os.close(fd)
-        save_code_spec(spec, tmp)
-        with open(tmp) as fh:
-            sys.stdout.write(fh.read())
-        os.unlink(tmp)
-    else:
-        save_code_spec(spec, args.output)
+    save_code_spec(spec, sys.stdout if args.output in (None, "-")
+                   else args.output)
     print("# N=%d k=%d payload=%d rate=%.6g frozen=%d"
           % (spec.N, spec.k, spec.payload_len, spec.rate(),
              int(spec.frozen_mask.sum())), file=sys.stderr)
@@ -114,6 +111,33 @@ def cmd_encode(args):
     return 0
 
 
+def _llr_chunks(fh, n, size):
+    """Yield the LLR frames of fh, one per non-blank line, in (<=size, n)
+    arrays. A malformed line first yields the frames read before it and
+    then raises, so every good frame ahead of it is still decoded."""
+    chunk = []
+    try:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            llr = np.array([float(t) for t in line.split()])
+            if llr.size != n:
+                raise ValueError("line %d: expected %d LLRs, got %d"
+                                 % (lineno, n, llr.size))
+            if not np.isfinite(llr).all():
+                raise ValueError("line %d: non-finite LLR" % lineno)
+            chunk.append(llr)
+            if len(chunk) == size:
+                yield np.array(chunk)
+                chunk = []
+    except ValueError:
+        if chunk:
+            yield np.array(chunk)
+        raise
+    if chunk:
+        yield np.array(chunk)
+
+
 def cmd_decode(args):
     extra = [("code.spec_file", args.spec),
              ("decoder.profile", args.profile), ("decoder.l", args.list_size),
@@ -124,23 +148,23 @@ def cmd_decode(args):
     d = cfg.sections["decoder"]
     out = _open_out(args.output)
     nframes = 0
-    with _open_in(args.input) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            llr = np.array([float(t) for t in line.split()])
-            if llr.size != spec.N:
-                raise ValueError("line %d: expected %d LLRs, got %d"
-                                 % (lineno, spec.N, llr.size))
-            res = decode(llr, spec, profile, L=cfg.list_size(),
-                         arithmetic=d["arithmetic"])
-            crc = "-" if res.crc_pass is None else str(int(res.crc_pass))
-            out.write("info=%s u=%s pm=%r crc=%s path=%d\n"
-                      % (_bits_to_str(res.info_hat), _bits_to_str(res.u_hat),
-                         float(res.pm), crc, res.selected_path))
-            nframes += 1
-    if out is not sys.stdout:
-        out.close()
+    try:
+        with _open_in(args.input) as fh:
+            for llrs in _llr_chunks(fh, spec.N, DEFAULT_BATCH):
+                res = decode_batch(llrs, spec, profile, L=cfg.list_size(),
+                                   arithmetic=d["arithmetic"])
+                for i in range(len(llrs)):
+                    crc = "-" if res.crc_pass is None \
+                        else str(int(res.crc_pass[i]))
+                    out.write("info=%s u=%s pm=%r crc=%s path=%d\n"
+                              % (_bits_to_str(res.info_hat[i]),
+                                 _bits_to_str(res.u_hat[i]),
+                                 float(res.pm[i]), crc,
+                                 res.selected_path[i]))
+                nframes += len(llrs)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     print("# decoded %d frame(s)" % nframes, file=sys.stderr)
     return 0
 
@@ -230,7 +254,7 @@ def cmd_selftest(args):
     from . import reference
     from .codes import CrcSpec, build_message, construct_code, crc_check, \
         crc_check_rows, polar_transform
-    from .engine import decode_batch, profile_for
+    from .engine import profile_for
     from .qarith import f_min_sum, g_combine, llr_max
 
     rng = np.random.default_rng(11)

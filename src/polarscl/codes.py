@@ -232,11 +232,17 @@ def _phi_inv(y):
         hi *= 2.0
         if hi > 1e9:
             break
+    # Stop once the midpoint equals the end it would replace: (lo, hi)
+    # can no longer change, so the remaining steps would be no-ops.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _phi(mid) > y:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 
@@ -510,8 +516,9 @@ def crc_sequence(u, spec):
 
 # -- code spec files ----------------------------------------------------------
 
-def save_code_spec(spec, path):
-    """Write a code spec file (key = value lines, arrays space-separated)."""
+def save_code_spec(spec, dest):
+    """Write a code spec (key = value lines, arrays space-separated) to
+    dest, a file path or an open text stream."""
     lines = [
         "# polar code spec",
         "N = %d" % spec.N,
@@ -535,8 +542,12 @@ def save_code_spec(spec, path):
         groups = ["%d:%s" % (p, ",".join(map(str, srcs)))
                   for p, srcs in spec.pc.constraints]
         lines.append("pc = %s" % ";".join(groups))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text)
 
 
 def load_code_spec(path):

@@ -76,7 +76,7 @@ import io
 from .codes import (CRC_POLYNOMIALS, CrcSpec, ParityCheckSpec, construct_code,
                     load_code_spec)
 from .cycles import ArchParams
-from .engine import profile_for
+from .engine import DEFAULT_BATCH, profile_for
 from .qarith import QuantProfile
 
 
@@ -188,7 +188,7 @@ _SCHEMA = {
         "seed": (_int, 20260819),
         "max_frames": (_int, 25000),
         "max_errors": (_int, 100),
-        "batch": (_int, 128),
+        "batch": (_int, DEFAULT_BATCH),
     },
     "output": {
         "csv": (str, "-"),

@@ -770,7 +770,8 @@ class DecodeResult:
 
 @dataclass
 class BatchResult:
-    """Per-frame outputs of a lockstep batch decode (leading axis = frame)."""
+    """Per-frame outputs of a lockstep batch decode (leading axis = frame);
+    trace is the event trace all frames share, or None."""
     u_hat: np.ndarray
     info_hat: np.ndarray
     selected_path: np.ndarray
@@ -779,12 +780,13 @@ class BatchResult:
     survivors_u: np.ndarray
     survivors_pm: np.ndarray
     survivors_crc: np.ndarray
+    trace: DecodeTrace
     stats: dict
 
 
 class _ListDecoder:
     def __init__(self, spec, profile, L, domain, collect_trace, record_decisions,
-                 frames=1):
+                 frames):
         self.spec = spec
         self.profile = profile
         self.L = L
@@ -922,7 +924,7 @@ class _ListDecoder:
         if self.shadow is not None:
             self.shadow[:keep, step.start:step.start + step.width] = kept_bits
         if self.trace is not None:
-            self.trace.leaf(self.w, peak, keep, n_sorts)
+            self.trace.leaf(self.w, peak // self.F, self.L_act, n_sorts)
         uniq_val, key = np.unique(kept_value, return_inverse=True)
         beta_u = _transform_rows(_bits_of(uniq_val, step.width))
         self._write_beta(self.w, step.v, beta_u, key)
@@ -984,21 +986,6 @@ class _ListDecoder:
             idx = np.where(okF.any(axis=1), np.argmin(masked, axis=1), idx)
         sel = self._frame_ids * c + idx
         u_hat = U[sel]
-        stats = dict(self.store.stats(), list_size=c)
-        if F == 1:
-            i0 = int(idx[0])
-            return DecodeResult(
-                u_hat=u_hat[0],
-                info_hat=u_hat[0, self.spec.payload_positions],
-                selected_path=i0,
-                pm=self.pm[i0],
-                crc_pass=bool(crc_ok[i0]) if crc_ok is not None else None,
-                survivors_u=U,
-                survivors_pm=self.pm.copy(),
-                survivors_crc=crc_ok,
-                trace=self.trace,
-                stats=stats,
-            )
         return BatchResult(
             u_hat=u_hat,
             info_hat=u_hat[:, self.spec.payload_positions],
@@ -1008,57 +995,62 @@ class _ListDecoder:
             survivors_u=U.reshape(F, c, self.N),
             survivors_pm=self.pm.reshape(F, c).copy(),
             survivors_crc=crc_ok.reshape(F, c) if crc_ok is not None else None,
-            stats=stats,
+            trace=self.trace,
+            stats=dict(self.store.stats(), list_size=c),
         )
+
+
+# Frames per decode_batch call for callers that stream frames (run_fer, CLI).
+DEFAULT_BATCH = 128
 
 
 def decode(chan_llrs, spec, profile, L=None, arithmetic="quantized",
            collect_trace=False, record_decisions=False):
-    """List-decode one frame of channel LLRs.
+    """List-decode one frame of channel LLRs: a lockstep batch of one.
+
+    Takes the arguments of ``decode_batch`` with chan_llrs of shape (N,)
+    and returns row 0 of its result as a DecodeResult.
+    """
+    x = np.asarray(chan_llrs)
+    if x.shape != (spec.N,):
+        raise ValueError("expected %d channel LLRs, got shape %r"
+                         % (spec.N, x.shape))
+    b = decode_batch(x[None, :], spec, profile, L=L, arithmetic=arithmetic,
+                     collect_trace=collect_trace,
+                     record_decisions=record_decisions)
+    return DecodeResult(
+        u_hat=b.u_hat[0],
+        info_hat=b.info_hat[0],
+        selected_path=int(b.selected_path[0]),
+        pm=b.pm[0],
+        crc_pass=None if b.crc_pass is None else bool(b.crc_pass[0]),
+        survivors_u=b.survivors_u[0],
+        survivors_pm=b.survivors_pm[0],
+        survivors_crc=None if b.survivors_crc is None else b.survivors_crc[0],
+        trace=b.trace,
+        stats=b.stats,
+    )
+
+
+def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
+                 collect_trace=False, record_decisions=False):
+    """List-decode a batch of frames in lockstep; chan_llrs is (frames, N).
 
     profile may be a DecoderProfile or a built-in name. arithmetic is
     'quantized' (the modeled fixed-point datapath; float inputs are
     quantized with the profile's channel settings, integer inputs are
     range-checked and taken as-is) or 'float' (same algorithm, no
-    quantization anywhere). L defaults to the profile's maximum.
-    """
-    if not isinstance(profile, DecoderProfile):
-        profile = profile_for(profile)
-    if spec.n > profile.n_max_log:
-        raise ValueError("block length 2^%d exceeds the profile limit 2^%d"
-                         % (spec.n, profile.n_max_log))
-    L = L or profile.l_max
-    if L < 1 or L & (L - 1) or L > profile.l_max:
-        raise ValueError("list size must be a power of two <= %d" % profile.l_max)
-    if arithmetic == "quantized":
-        domain = QuantDomain(profile.quant, spec.n)
-    elif arithmetic == "float":
-        domain = FloatDomain(spec.n)
-    else:
-        raise ValueError("arithmetic must be 'quantized' or 'float'")
-    x = np.asarray(chan_llrs)
-    if x.shape != (spec.N,):
-        raise ValueError("expected %d channel LLRs, got shape %r"
-                         % (spec.N, x.shape))
-    if not domain.is_float and np.issubdtype(x.dtype, np.integer):
-        chan = domain.check_channel(x)
-    else:
-        chan = domain.channel(x)
-    dec = _ListDecoder(spec, profile, L, domain, collect_trace, record_decisions)
-    return dec.run(chan[None, :])
+    quantization anywhere). L defaults to the profile's maximum. Float
+    inputs must be finite; a NaN or infinity is rejected with the index
+    of the first frame that holds one.
 
-
-def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
-                 record_decisions=False):
-    """List-decode a batch of frames in lockstep; chan_llrs is (frames, N).
-
-    Identical, frame for frame, to calling ``decode`` on each row: the walk
+    Identical, frame for frame, to decoding each row on its own: the walk
     schedule and every split/prune event of an SC list decode are data
     independent, so the frames march through the same steps with the same
     per-frame path counts while their arithmetic never mixes. Batching
-    only amortizes the per-step dispatch cost over the frame axis, which
-    is what makes Monte Carlo campaigns affordable. Traces are not
-    collected in batch mode; returns a BatchResult.
+    only amortizes the per-step dispatch cost over the frame axis. For
+    the same reason the trace (``collect_trace=True``) of a batch is the
+    trace of each of its frames. Returns a BatchResult.
     """
     if not isinstance(profile, DecoderProfile):
         profile = profile_for(profile)
@@ -1081,7 +1073,11 @@ def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
     if not domain.is_float and np.issubdtype(x.dtype, np.integer):
         chan = domain.check_channel(x)
     else:
+        x = np.asarray(x, dtype=np.float64)
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise ValueError("frame %d: non-finite channel LLR"
+                             % int(np.argmax(bad)))
         chan = domain.channel(x)
-    dec = _ListDecoder(spec, profile, L, domain, False, record_decisions,
-                       frames=len(x))
-    return dec.run(chan)
+    return _ListDecoder(spec, profile, L, domain, collect_trace,
+                        record_decisions, len(x)).run(chan)

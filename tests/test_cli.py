@@ -7,6 +7,7 @@ import pytest
 from polarscl.cli import main
 from polarscl.codes import load_code_spec
 from polarscl.config import load_config
+from polarscl.engine import DEFAULT_BATCH, decode, profile_for
 
 
 def test_construct_writes_spec_file(tmp_path, capsys):
@@ -80,6 +81,67 @@ def test_decode_rejects_wrong_llr_count(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "expected 64 LLRs" in err
+
+
+def test_construct_stdout_matches_spec_file(tmp_path, capsys):
+    args = ["construct", "--N", "64", "--k", "40", "--crc-width", "8", "-q"]
+    spec_path = tmp_path / "code.spec"
+    assert main(args + ["-o", str(spec_path)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == spec_path.read_text()
+
+
+@pytest.fixture(scope="module")
+def llr_frames(tmp_path_factory):
+    """A CRC-8 code with N=64, LLR lines for more than one CLI chunk of
+    noisy frames, and the output line single-frame decode gives each."""
+    spec_path = tmp_path_factory.mktemp("code") / "code.spec"
+    assert main(["construct", "--N", "64", "--k", "40", "--crc-width", "8",
+                 "-o", str(spec_path), "-q"]) == 0
+    spec = load_code_spec(str(spec_path))
+    rng = np.random.default_rng(9)
+    llrs = rng.normal(1.5, 2.0, (DEFAULT_BATCH + 77, 64))
+    lines = [" ".join(repr(float(x)) for x in row) for row in llrs]
+    want = []
+    for llr in llrs:
+        res = decode(llr, spec, profile_for("flexible"), L=4)
+        want.append("info=%s u=%s pm=%r crc=%d path=%d\n" % (
+            "".join(map(str, res.info_hat)), "".join(map(str, res.u_hat)),
+            float(res.pm), res.crc_pass, res.selected_path))
+    return spec_path, lines, want
+
+
+def _decode_args(spec_path, llr_path, out_path):
+    return ["decode", "--spec", str(spec_path), "--profile", "flexible",
+            "-L", "4", "-i", str(llr_path), "-o", str(out_path), "-q"]
+
+
+def test_decode_in_chunks_matches_single_frame_decode(tmp_path, llr_frames):
+    spec_path, lines, want = llr_frames
+    llr_path = tmp_path / "llrs.txt"
+    # blank lines between frames are skipped
+    llr_path.write_text("\n".join(ln + ("\n" if i % 50 == 7 else "")
+                                  for i, ln in enumerate(lines)) + "\n")
+    out_path = tmp_path / "out.txt"
+    assert main(_decode_args(spec_path, llr_path, out_path)) == 0
+    assert out_path.read_text() == "".join(want)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1.0 2.0", "line 201: expected 64 LLRs, got 2"),
+    (" ".join(["0.5"] * 63 + ["nan"]), "line 201: non-finite LLR"),
+    (" ".join(["-inf"] + ["0.5"] * 63), "line 201: non-finite LLR"),
+], ids=["short", "nan", "inf"])
+def test_decode_bad_line_keeps_earlier_frames(tmp_path, capsys, llr_frames,
+                                              bad, message):
+    spec_path, lines, want = llr_frames
+    llr_path = tmp_path / "llrs.txt"
+    llr_path.write_text("\n".join(lines[:200] + [bad] + lines[200:]) + "\n")
+    out_path = tmp_path / "out.txt"
+    assert main(_decode_args(spec_path, llr_path, out_path)) == 1
+    assert "error: %s" % message in capsys.readouterr().err
+    assert out_path.read_text() == "".join(want[:200])
 
 
 def test_invalid_override_exits_2(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polarscl import codes
 from polarscl.codes import (
     CRC_POLYNOMIALS, CrcSpec, ParityCheckSpec, bhattacharyya_profile,
     build_message, construct_code, crc_attach, crc_check, crc_check_rows,
@@ -92,6 +93,38 @@ def test_gaussian_approx_monotone_in_design_snr():
     assert np.all(np.asarray(m) >= 0)
     spec = construct_code(128, 64, method="gaussian_approx", design_param=1.0)
     assert int((~spec.frozen_mask).sum()) == 64
+
+
+def _phi_inv_full(y):
+    """The bisection inverse of _phi without its early exit: 200 steps."""
+    if y >= 1.0:
+        return 0.0
+    lo, hi = 1e-12, 1.0
+    while codes._phi(hi) > y:
+        hi *= 2.0
+        if hi > 1e9:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if codes._phi(mid) > y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_phi_inv_early_exit_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(12)
+    for y in np.concatenate([10.0 ** -rng.uniform(0, 300, 500),
+                             rng.uniform(0, 1, 500), [0.0, 1.0, 1.5]]):
+        assert codes._phi_inv(float(y)) == _phi_inv_full(float(y))
+    for snr in (0.0, 2.5):
+        for N in (2, 64, 1024, 4096):
+            fast = gaussian_approx_profile(N, snr).tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(codes, "_phi_inv", _phi_inv_full)
+                full = gaussian_approx_profile(N, snr).tobytes()
+            assert fast == full, (snr, N)
 
 
 def test_external_sequence_construction(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from polarscl.codes import (
     CrcSpec, build_message, construct_code, polar_transform,
 )
 from polarscl.engine import (
-    FREE, FROZEN, GOOD, decode, decode_batch, llr_memory_summary,
-    profile_for, recover_from_partial_sums, split_and_select,
+    FREE, FROZEN, GOOD, BatchResult, decode, decode_batch,
+    llr_memory_summary, profile_for, recover_from_partial_sums,
+    split_and_select,
 )
 from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile
 
@@ -71,18 +74,18 @@ def test_crc_aided_selection_prefers_passing_path():
                           crc=CrcSpec(8))
     prof_pm = profile_for("flexible", selection="best_pm", n_max_log=14)
     prof_ca = profile_for("flexible", n_max_log=14)  # crc_aided
+    llrs = np.stack([noisy_llrs(spec, rng, sigma=1.1)[1] for _ in range(400)])
+    a = decode_batch(llrs, spec, prof_pm, L=8, arithmetic="float")
+    b = decode_batch(llrs, spec, prof_ca, L=8, arithmetic="float")
     hits = 0
-    for _ in range(400):
-        _, llr = noisy_llrs(spec, rng, sigma=1.1)
-        a = decode(llr, spec, prof_pm, L=8, arithmetic="float")
-        b = decode(llr, spec, prof_ca, L=8, arithmetic="float")
-        if a.crc_pass or not a.survivors_crc.any():
+    for i in range(len(llrs)):
+        if a.crc_pass[i] or not a.survivors_crc[i].any():
             # no disagreement possible on this frame
-            assert np.array_equal(a.u_hat, b.u_hat)
+            assert np.array_equal(a.u_hat[i], b.u_hat[i])
         else:
             hits += 1
-            assert b.crc_pass
-            assert b.pm >= a.pm  # paid metric for the CRC constraint
+            assert b.crc_pass[i]
+            assert b.pm[i] >= a.pm[i]  # paid metric for the CRC constraint
     assert hits > 0  # the interesting branch actually occurred
 
 
@@ -241,6 +244,42 @@ def test_batch_equals_sequential():
         assert np.array_equal(br.survivors_pm[i], r.survivors_pm)
         assert br.selected_path[i] == r.selected_path
         assert br.crc_pass[i] == r.crc_pass
+
+
+def test_decode_is_a_batch_of_one():
+    """A one-row batch is a BatchResult, and a batch's trace is the trace
+    of each of its frames (the schedule does not depend on the data)."""
+    rng = np.random.default_rng(8)
+    spec = construct_code(128, 64, method="bhattacharyya", design_param=0.5,
+                          crc=CrcSpec(8))
+    prof = profile_for("ultra")
+    llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(3)])
+    one = decode_batch(llrs[:1], spec, prof, L=16, collect_trace=True)
+    assert isinstance(one, BatchResult)
+    assert one.u_hat.shape == (1, 128) and one.survivors_pm.shape == (1, 16)
+    assert decode_batch(llrs[:1], spec, prof, L=16).trace is None
+    many = decode_batch(llrs, spec, prof, L=16, collect_trace=True)
+    for i in range(3):
+        r = decode(llrs[i], spec, prof, L=16, collect_trace=True)
+        assert many.trace.events == r.trace.events
+        assert np.array_equal(many.u_hat[i], r.u_hat)
+    assert one.trace.events == many.trace.events
+
+
+@pytest.mark.parametrize("arith", ["float", "quantized"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_are_rejected(arith, bad):
+    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+    prof = profile_for("flexible", n_max_log=14)
+    llrs = np.ones((4, 64))
+    llrs[2, 5] = bad
+    llrs[3, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning on the way
+        with pytest.raises(ValueError, match="frame 2: non-finite"):
+            decode_batch(llrs, spec, prof, L=8, arithmetic=arith)
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(llrs[3], spec, prof, L=8, arithmetic=arith)
 
 
 def test_memory_summary_stride3_formula():
