@@ -34,8 +34,6 @@ Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
     max_special_node = 32     # 0 disables special-node shortcuts
     skip_frozen_prefix = true
     good_bits = true          # false ignores the code's good-bit mask
-    store_mode = cow          # cow | copy
-    double_package = true
     stage5_replicas = 4
 
     [arch]
@@ -48,9 +46,6 @@ Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
     f_clk_hz = 1.0e9
     num_cores = 5
 
-    [channel]
-    es_n0_db = 2.0            # single-point operations (latency, noisy encode)
-
     [campaign]
     snr_db = 1.8 2.0 2.2
     seed = 20260819
@@ -60,7 +55,6 @@ Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
 
     [output]
     csv = fer.csv             # empty/'-' writes to stdout
-    format = csv              # csv | json
 
 Every key is optional (defaults below); unknown sections or keys are
 rejected with a diagnostic naming them. Values given on the command line
@@ -165,8 +159,6 @@ _SCHEMA = {
         "max_special_node": (_int, None),
         "skip_frozen_prefix": (_bool, None),
         "good_bits": (_bool, True),
-        "store_mode": (_choice("cow", "copy"), None),
-        "double_package": (_bool, None),
         "stage5_replicas": (_int, None),
     },
     "arch": {
@@ -180,9 +172,6 @@ _SCHEMA = {
         "f_clk_hz": (float, 1.0e9),
         "num_cores": (_int, 5),
     },
-    "channel": {
-        "es_n0_db": (float, 2.0),
-    },
     "campaign": {
         "snr_db": (_floats, (1.8, 2.0, 2.2)),
         "seed": (_int, 20260819),
@@ -192,14 +181,12 @@ _SCHEMA = {
     },
     "output": {
         "csv": (str, "-"),
-        "format": (_choice("csv", "json"), "csv"),
     },
 }
 
 # decoder keys that map 1:1 onto DecoderProfile fields when set
 _PROFILE_KEYS = ("leaf_width", "storage_stride", "selection",
-                 "max_special_node", "skip_frozen_prefix", "store_mode",
-                 "double_package", "stage5_replicas")
+                 "max_special_node", "skip_frozen_prefix", "stage5_replicas")
 
 
 class RunConfig:

@@ -6,10 +6,10 @@ paths. Four architectural mechanisms are modeled bit-accurately:
   * strided LLR storage: only every ``storage_stride``-th stage keeps a
     bank per path; intermediate stages are recomputed on demand from the
     nearest stored ancestor (the channel bank is shared by all paths);
-  * address-map path cloning: per-path banks live in reference-counted
-    arenas, so surviving a pruning sort exchanges row indices instead of
-    copying LLR words (``store_mode='copy'`` keeps the naive per-path
-    copies as a reference for the bookkeeping);
+  * address-map path cloning: each path reaches its banks through an
+    address map, so surviving a pruning sort gathers map rows instead of
+    copying LLR words; the element counters report what copying the banks
+    of each clone would have cost;
   * multi-bit leaf decisions: ``leaf_width`` leaves are decided per step by
     expanding every free-bit pattern of every path and pruning once, which
     this module keeps exactly equivalent to bit-serial processing by
@@ -24,7 +24,8 @@ same f/g recursion with forced decisions, so they change the schedule (and
 the cycle count) but never the arithmetic.
 """
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .cycles import DecodeTrace
 from .qarith import FloatDomain, QuantDomain, QuantProfile
 
 FREE, FROZEN, GOOD, PARITY = 0, 1, 2, 3
+
+# The pattern tensor of a leaf block grows as 2^W, so blocks stop at 8 leaves.
+MAX_LEAF_WIDTH = 8
 
 
 # -- decoder profiles ----------------------------------------------------------
@@ -48,9 +52,7 @@ class DecoderProfile:
     leaf_width: int = 1
     max_special_node: int = 0
     skip_frozen_prefix: bool = True
-    double_package: bool = False
     selection: str = "best_pm"
-    store_mode: str = "cow"
     semi_parallel_stages: tuple = ()
     semi_parallel_group: int = 4
     stage5_replicas: int = 0
@@ -70,7 +72,7 @@ _PROFILES = {
         quant=QuantProfile(q_c=6, q_i=6, q_sort=7, q_pm=6,
                            channel_scale=0.75),
         storage_stride=3, leaf_width=4, max_special_node=32,
-        double_package=True, selection="crc_aided",
+        selection="crc_aided",
     ),
     # Large-list decoder for short ultra-reliable blocks.
     "ultra": dict(
@@ -144,135 +146,51 @@ def _transform_rows(bits):
 # -- per-path bank store -------------------------------------------------------
 
 class PathStore:
-    """Reference-counted LLR / partial-sum banks with per-path address maps.
+    """Per-stage LLR / partial-sum banks of every path, behind address maps.
 
-    Every row of every arena is only ever written whole, so a clone never
-    copies bank contents in 'cow' mode: it bumps refcounts and duplicates
-    the address map. 'copy' mode materializes per-path rows and physically
-    duplicates banks on cloning; the element counters expose the difference.
+    Every write replaces the stage-t bank of every active path at once, so
+    it stores its deduplicated rows as one fresh array and a path's address
+    is its row in that array (column t of ``llr_map`` / ``ps_map``). Paths
+    with equal addresses share provably identical contents. Cloning copies
+    no bank contents: ``reassign`` is one gather of both maps. The element
+    counters report what physically copying the banks would cost: each
+    clone copies the 2^t words of every stage written so far.
     """
 
-    def __init__(self, n, stored_stages, L, llr_dtype, mode="cow", replicas=0):
-        if mode not in ("cow", "copy"):
-            raise ValueError("store mode must be 'cow' or 'copy'")
-        self.n = n
-        self.mode = mode
-        self.stored = tuple(stored_stages)
-        self.cap = 2 * L + 8
-        self.base = {}
-        self.data = {}
-        off = 0
-        for t in self.stored:
-            self.base[("llr", t)] = off
-            self.data[("llr", t)] = np.zeros((self.cap, 1 << t), dtype=llr_dtype)
-            off += self.cap
-        for t in range(n):
-            self.base[("ps", t)] = off
-            self.data[("ps", t)] = np.zeros((self.cap, 1 << t), dtype=np.uint8)
-            off += self.cap
-        self.refs = np.zeros(off, dtype=np.int64)
-        self.total_rows = off
-        self.llr_map = np.full((L, n), -1, dtype=np.int64)
-        self.ps_map = np.full((L, n), -1, dtype=np.int64)
-        self.replicas = np.zeros((replicas, 32), dtype=llr_dtype) if replicas else None
+    def __init__(self, n, L):
+        self.banks = {}
+        self.maps = np.zeros((L, 2, n), dtype=np.int64)
+        self.llr_map, self.ps_map = self.maps[:, 0], self.maps[:, 1]
+        self.words = {"llr": 0, "ps": 0}
         self.clone_events = 0
         self.llr_element_copies = 0
         self.ps_element_copies = 0
 
-    def _alloc(self, kind, t, count):
-        b = self.base[(kind, t)]
-        free = np.flatnonzero(self.refs[b:b + self.cap] == 0)
-        if len(free) < count:
-            raise RuntimeError("bank arena exhausted at stage %d" % t)
-        return b + free[:count]
-
-    def _bump(self, rows, delta):
-        # bincount instead of ufunc.at: rows repeat heavily (shared banks).
-        if len(rows):
-            cnt = np.bincount(rows, minlength=self.total_rows)
-            if delta > 0:
-                self.refs += cnt
-            else:
-                self.refs -= cnt
-
-    def _release(self, rows):
-        self._bump(rows[rows >= 0], -1)
-
     def read(self, kind, t, L_act):
         """Deduplicated bank contents: (unique rows, path -> row index)."""
         m = self.llr_map if kind == "llr" else self.ps_map
-        rows = m[:L_act, t]
-        uniq, gid = np.unique(rows, return_inverse=True)
-        b = self.base[(kind, t)]
-        return self.data[(kind, t)][uniq - b], gid
+        uniq, gid = np.unique(m[:L_act, t], return_inverse=True)
+        return self.banks[(kind, t)][uniq], gid
 
     def write(self, kind, t, vals_u, key, L_act):
-        """Overwrite the stage-t bank of every active path.
+        """Replace the stage-t bank of every active path.
 
         vals_u holds one row per distinct content, key maps each path to
-        its row; equal keys mean provably identical contents, so 'cow'
-        mode shares a physical row between those paths from the start.
+        its row; equal keys mean provably identical contents.
         """
+        if (kind, t) not in self.banks:
+            self.words[kind] += 1 << t
+        self.banks[(kind, t)] = vals_u
         m = self.llr_map if kind == "llr" else self.ps_map
-        b = self.base[(kind, t)]
-        if self.mode == "cow":
-            rows = self._alloc(kind, t, len(vals_u))
-            self.data[(kind, t)][rows - b] = vals_u
-            new = rows[key]
-        else:
-            rows = self._alloc(kind, t, L_act)
-            self.data[(kind, t)][rows - b] = vals_u[key]
-            new = rows
-        self._bump(new, 1)
-        self._release(m[:L_act, t].copy())
-        m[:L_act, t] = new
+        m[:L_act, t] = key
 
-    def reassign(self, parents, L_old):
+    def reassign(self, parents):
         """Survivor i inherits the banks of path parents[i] (clone step)."""
-        parents = np.asarray(parents)
-        L_new = len(parents)
-        self.clone_events += int(L_new - len(np.unique(parents)))
-        if self.mode == "cow":
-            for m in (self.llr_map, self.ps_map):
-                old = m[:L_old].copy()
-                new = old[parents]
-                live = new[new >= 0]
-                self._bump(live, 1)
-                self._release(old.ravel())
-                m[:L_new] = new
-                if L_new < L_old:
-                    m[L_new:L_old] = -1
-            return
-        # naive mode: first use of a parent keeps its rows, clones copy them
-        first_idx = np.unique(parents, return_index=True)[1]
-        is_first = np.zeros(L_new, dtype=bool)
-        is_first[first_idx] = True
-        for kind_maps, counter in (("llr", "llr_element_copies"),
-                                   ("ps", "ps_element_copies")):
-            m = self.llr_map if kind_maps == "llr" else self.ps_map
-            stages = self.stored if kind_maps == "llr" else range(self.n)
-            old = m[:L_old].copy()
-            new = np.full((L_new, self.n), -1, dtype=np.int64)
-            for t in stages:
-                src = old[parents, t]
-                col = np.where(is_first, src, -1)
-                dup = ~is_first & (src >= 0)
-                kd = int(dup.sum())
-                if kd:
-                    b = self.base[(kind_maps, t)]
-                    rows = self._alloc(kind_maps, t, kd)
-                    self.data[(kind_maps, t)][rows - b] = \
-                        self.data[(kind_maps, t)][src[dup] - b]
-                    col[dup] = rows
-                    setattr(self, counter,
-                            getattr(self, counter) + kd * (1 << t))
-                new[:, t] = col
-            live = new[new >= 0]
-            self._bump(live, 1)
-            self._release(old.ravel())
-            m[:L_new] = new
-            if L_new < L_old:
-                m[L_new:L_old] = -1
+        clones = len(parents) - len(np.unique(parents))
+        self.clone_events += clones
+        self.llr_element_copies += clones * self.words["llr"]
+        self.ps_element_copies += clones * self.words["ps"]
+        self.maps[:len(parents)] = self.maps[parents]
 
     def stats(self):
         return {
@@ -332,6 +250,9 @@ def _build_plan(spec, profile):
     lw = int(profile.leaf_width)
     if lw < 1 or lw & (lw - 1):
         raise ValueError("leaf width must be a power of two")
+    if lw > MAX_LEAF_WIDTH:
+        raise ValueError("leaf width %d exceeds the limit of %d"
+                         % (lw, MAX_LEAF_WIDTH))
     w = min(lw.bit_length() - 1, n)
     kinds = np.full(N, FREE, dtype=np.uint8)
     kinds[spec.frozen_mask] = FROZEN
@@ -455,28 +376,23 @@ def _forced_eval_serial(vals, kind, t, domain):
 
 # -- leaf-block expansion ------------------------------------------------------
 
-_PATTERN_CACHE = {}
-
-
+@functools.cache
 def _pattern_tables(W):
-    """(bits uint8, bits bool, values) for all 2^W patterns, MSB-first."""
-    tbl = _PATTERN_CACHE.get(W)
-    if tbl is None:
-        vals = np.arange(1 << W, dtype=np.int64)
-        pb = _bits_of(vals, W)
-        tbl = (pb, pb.astype(bool), vals)
-        _PATTERN_CACHE[W] = tbl
-    return tbl
+    """Bits of all 2^W patterns, MSB-first: row p holds pattern p."""
+    bits = _bits_of(np.arange(1 << W), W)
+    bits.flags.writeable = False      # shared by every caller
+    return bits
+
+
+@functools.cache
+def _pattern_sums(W):
+    """Partial sums (transforms) of all 2^W patterns, row p for pattern p."""
+    sums = _transform_rows(_pattern_tables(W))
+    sums.flags.writeable = False
+    return sums
 
 
 _S01 = np.array([0, 1], dtype=np.uint8)
-_B2 = _transform_rows(_bits_of(np.arange(4), 2))
-_I1_2 = np.arange(4) >> 1
-_I1_4 = np.arange(16) >> 3
-_I2_4 = np.arange(16) >> 2
-_I3_4 = np.arange(16) >> 1
-_PRE3P = np.arange(8) >> 1
-_PRE3S = (np.arange(8) & 1).astype(np.uint8)
 
 
 def _llr_tensor(vals, w, domain):
@@ -485,36 +401,25 @@ def _llr_tensor(vals, w, domain):
     Returns (rows, 2^W, W); entry [r, p, j] is the LLR of leaf j when the
     leaves before j were decided as the prefix of pattern p (MSB-first).
     Runs the same in-block f/g datapath as a bit-serial schedule, one
-    vectorized pass per distinct prefix instead of one per candidate.
-    Covers the hardware leaf widths (1, 2, 4); wider blocks take the
-    serial path.
+    vectorized pass per distinct prefix instead of one per candidate: the
+    left half's tensor comes from f, the right half's from g under the
+    partial sums of every left-half pattern.
     """
     U = len(vals)
     if w == 0:
         full = np.empty((U, 2, 1), dtype=vals.dtype)
         full[:, :, 0] = vals
         return full
-    if w == 1:
-        l0 = domain.f(vals[:, :1], vals[:, 1:], 0)
-        l1 = domain.g(vals[:, 1:], vals[:, :1], _S01[None, :], 0)
-        full = np.empty((U, 4, 2), dtype=l0.dtype)
-        full[:, :, 0] = l0
-        full[:, :, 1] = l1[:, _I1_2]
-        return full
-    if w == 2:
-        t1 = domain.f(vals[:, :2], vals[:, 2:], 1)
-        l0 = domain.f(t1[:, :1], t1[:, 1:], 0)
-        l1 = domain.g(t1[:, 1:], t1[:, :1], _S01[None, :], 0)
-        rv = domain.g(vals[:, None, 2:], vals[:, None, :2], _B2[None, :, :], 1)
-        l2 = domain.f(rv[:, :, 0], rv[:, :, 1], 0)
-        l3 = domain.g(rv[:, _PRE3P, 1], rv[:, _PRE3P, 0], _PRE3S, 0)
-        full = np.empty((U, 16, 4), dtype=l0.dtype)
-        full[:, :, 0] = l0
-        full[:, :, 1] = l1[:, _I1_4]
-        full[:, :, 2] = l2[:, _I2_4]
-        full[:, :, 3] = l3[:, _I3_4]
-        return full
-    raise ValueError("pattern-joint expansion supports leaf widths up to 4")
+    h = 1 << (w - 1)
+    left = _llr_tensor(domain.f(vals[:, :h], vals[:, h:], w - 1), w - 1,
+                       domain)                         # (U, 2^h, h)
+    rv = domain.g(vals[:, None, h:], vals[:, None, :h],
+                  _pattern_sums(h)[None], w - 1)       # (U, 2^h, h)
+    right = _llr_tensor(rv.reshape(-1, h), w - 1, domain)
+    full = np.empty((U, 1 << h, 1 << h, 2 * h), dtype=left.dtype)
+    full[..., :h] = left[:, :, None, :]
+    full[..., h:] = right.reshape(U, 1 << h, 1 << h, h)
+    return full.reshape(U, -1, 2 * h)
 
 
 def _prune_order(parent, value, pm, L, frame, pm_cap=None):
@@ -612,79 +517,11 @@ def _block_candidates(pm, vals, gid, kinds, parity_leaves, pc_acc, domain,
     return parent, value, cur, peak, n_sorts
 
 
-def _leaf_llr(vals, vgid, prefix, j, m, domain):
-    """LLR of leaf j inside a width-2^m block, given decided earlier bits.
-
-    vals: (rows, 2^m) deduplicated block vectors at stage m; vgid maps each
-    candidate to its row; prefix: (candidates, decided bits) inside this
-    block. The recursion mirrors the in-block f/g datapath, including the
-    per-stage saturation widths.
-    """
-    if m == 0:
-        return vals[vgid, 0]
-    h = 1 << (m - 1)
-    if j < h:
-        sub = domain.f(vals[:, :h], vals[:, h:], m - 1)
-        return _leaf_llr(sub, vgid, prefix, j, m - 1, domain)
-    beta = _transform_rows(prefix[:, :h])
-    sub = domain.g(vals[vgid, h:], vals[vgid, :h], beta, m - 1)
-    return _leaf_llr(sub, np.arange(len(sub)), prefix[:, h:], j - h, m - 1, domain)
-
-
-def _expand_block(pm, vals, gid, kinds, parity_resolve, domain, w, L, F=1):
-    """Serial fallback of _block_candidates for blocks wider than 4 leaves.
-
-    Identical schedule, penalties, prunes and tie-breaks; each leaf LLR is
-    recomputed through the in-block tree instead of read from the pattern
-    tensor (whose size is exponential in the block width).
-    """
-    c0 = len(pm) // F
-    cap = None if domain.is_float else domain.pm_cap_sort
-    parent = np.arange(len(pm))
-    value = np.zeros(len(pm), dtype=np.int64)
-    cur = np.asarray(pm, dtype=domain.pm_dtype)
-    peak = len(pm)
-    n_sorts = 0
-    for j in range(len(kinds)):
-        prefix = _bits_of(value, j) if j else \
-            np.zeros((len(parent), 0), dtype=np.uint8)
-        llr = _leaf_llr(vals, gid[parent], prefix, j, w, domain)
-        hd = domain.hd(llr)
-        pen = domain.pen(llr)
-        kind = int(kinds[j])
-        if kind == FREE:
-            parent = np.repeat(parent, 2)
-            value = np.repeat(value, 2)
-            cur = np.repeat(cur, 2)
-            hd = np.repeat(hd, 2)
-            pen = np.repeat(pen, 2)
-            bit = np.tile(_S01, len(parent) // 2)
-            cur = domain.pm_add(cur, np.where(bit != hd, pen, 0))
-            value = (value << 1) | bit
-            peak = max(peak, len(parent))
-            if len(parent) > L * F:
-                sel = _prune_order(parent, value, cur, L, parent // c0, cap)
-                parent, value, cur = parent[sel], value[sel], cur[sel]
-                n_sorts += 1
-                if L >= 2:
-                    cur = domain.pm_normalize(cur.reshape(F, L)).reshape(-1)
-        else:
-            if kind == FROZEN:
-                bit = np.zeros(len(parent), dtype=np.uint8)
-            elif kind == GOOD:
-                bit = hd
-            else:
-                bit = parity_resolve(j, parent, value)
-            cur = domain.pm_add(cur, np.where(bit != hd, pen, 0))
-            value = (value << 1) | bit
-    return parent, value, cur, peak, n_sorts
-
-
 def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
     """One leaf-block expansion plus pruning, as a standalone step.
 
-    pms: (P,) path metrics; block_vectors: (P, W) leaf-block LLR vectors;
-    kinds: length-W leaf kinds (FREE / FROZEN / GOOD -- parity leaves need
+    pms: (P,) path metrics; block_vectors: (P, W) leaf-block LLR vectors,
+    W a power of two up to MAX_LEAF_WIDTH; kinds: length-W leaf kinds (FREE / FROZEN / GOOD -- parity leaves need
     the running accumulators of a full decode). Splitting and selection are
     interleaved leaf by leaf, exactly like running W sequential one-bit
     splits. Returns a dict with the surviving parents, decided bits,
@@ -697,22 +534,20 @@ def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
     W = len(kinds)
     if vals.shape[1] != W or W & (W - 1):
         raise ValueError("block vectors must be (paths, W) with W a power of two")
+    if W > MAX_LEAF_WIDTH:
+        raise ValueError("leaf width %d exceeds the limit of %d"
+                         % (W, MAX_LEAF_WIDTH))
     if (kinds == PARITY).any():
         raise ValueError("parity leaves are only supported inside a full decode")
     pms = np.asarray(pms, dtype=domain.pm_dtype)
     if len(pms) != len(vals):
         raise ValueError("one metric per path required")
     w = W.bit_length() - 1
-    gid = np.arange(len(vals))
-    if W <= 4:
-        parent, value, pm, peak, n_sorts = _block_candidates(
-            pms, vals, gid, kinds, {}, None, domain, w, L_target)
-    else:
-        parent, value, pm, peak, n_sorts = _expand_block(
-            pms, vals, gid, kinds, None, domain, w, L_target)
+    parent, value, pm, peak, n_sorts = _block_candidates(
+        pms, vals, np.arange(len(vals)), kinds, {}, None, domain, w, L_target)
     return {
         "parent": parent,
-        "bits": _pattern_tables(W)[0][value],
+        "bits": _pattern_tables(W)[value],
         "pattern": value,
         "pm": pm,
         "sorted": n_sorts,
@@ -796,12 +631,8 @@ class _ListDecoder:
         self.steps, self.w = _plan_for(spec, profile)
         stored = [t for t in range(self.n) if t % profile.storage_stride == 0]
         self.stored_set = set(stored)
-        replicas = 0
-        if profile.stage5_replicas and self.n > 5 and 5 not in self.stored_set:
-            replicas = profile.stage5_replicas
         R = L * frames
-        self.store = PathStore(self.n, stored, R, domain.llr_dtype,
-                               profile.store_mode, replicas)
+        self.store = PathStore(self.n, R)
         ncon = len(spec.pc.constraints) if spec.pc is not None else 0
         self.pc_acc = np.zeros((R, max(ncon, 1)), dtype=np.uint8)
         # The final step's decisions only cascade upward, never into the
@@ -835,44 +666,39 @@ class _ListDecoder:
             vals = self.domain.f(pv[:, :h], pv[:, h:], t)
             gid = pgid
         else:
-            srows = self.store.ps_map[:self.rows, t]
-            pair = pgid.astype(np.int64) * (self.store.total_rows + 1) + srows
-            _uniq, first, gid = np.unique(pair, return_index=True,
-                                          return_inverse=True)
+            first, gid, s = self._with_ps(t, pgid)
             pu = pv[pgid[first]]
-            b = self.store.base[("ps", t)]
-            s = self.store.data[("ps", t)][srows[first] - b]
             vals = self.domain.g(pu[:, h:], pu[:, :h], s, t)
         if t in self.stored_set:
             self.store.write("llr", t, vals, gid, self.rows)
             self.bank_node[t] = v
-        elif self.store.replicas is not None and t == 5:
-            reps = self.store.replicas
-            idx = np.arange(self.rows) % len(reps)
-            reps[idx] = vals[gid]
         if self.trace is not None:
             self.trace.stage(t, "g" if v & 1 else "f", self.L_act,
                              bool(self.last_v[t] != v))
         self.last_v[t] = v
         return vals, gid
 
+    def _with_ps(self, t, key):
+        """Distinct (key, stage-t partial-sum bank) pairs of the active paths.
+
+        Returns (first path of each pair, path -> pair index, the partial
+        sums of each pair).
+        """
+        srows = self.store.ps_map[:self.rows, t]
+        bank = self.store.banks[("ps", t)]
+        _uniq, first, pair = np.unique(key.astype(np.int64) * len(bank) + srows,
+                                       return_index=True, return_inverse=True)
+        return first, pair, bank[srows[first]]
+
     # ---- partial-sum write-back cascade ----
 
     def _write_beta(self, t, v, beta_u, key):
-        L_act = self.rows
-        while True:
-            if t >= self.n:
-                return
+        while t < self.n:
             if v & 1 == 0:
-                self.store.write("ps", t, beta_u, key, L_act)
+                self.store.write("ps", t, beta_u, key, self.rows)
                 return
-            srows = self.store.ps_map[:L_act, t]
-            pair = key.astype(np.int64) * (self.store.total_rows + 1) + srows
-            _uniq, first, new_key = np.unique(pair, return_index=True,
-                                              return_inverse=True)
+            first, new_key, s = self._with_ps(t, key)
             rep = beta_u[key[first]]
-            b = self.store.base[("ps", t)]
-            s = self.store.data[("ps", t)][srows[first] - b]
             beta_u = np.concatenate([s ^ rep, rep], axis=1)
             key = new_key
             t += 1
@@ -884,7 +710,7 @@ class _ListDecoder:
         if len(parents) == self.rows and \
            np.array_equal(parents, np.arange(self.rows)):
             return
-        self.store.reassign(parents, self.rows)
+        self.store.reassign(parents)
         k = len(parents)
         self.pc_acc[:k] = self.pc_acc[parents]
         self.tail_bits[:k] = self.tail_bits[parents]
@@ -895,22 +721,10 @@ class _ListDecoder:
 
     def _block(self, step):
         vals, gid = self._vecs(self.w, step.v)
-        if step.width <= 4:
-            parents, kept_value, pm, peak, n_sorts = _block_candidates(
-                self.pm, vals, gid, step.kinds, step.parity_leaves,
-                self.pc_acc, self.domain, self.w, self.L, self.F)
-        else:
-            def resolve(j, parent_idx, value):
-                ci, offs = step.parity_leaves[j]
-                bit = self.pc_acc[parent_idx, ci]
-                for o in offs:
-                    bit = bit ^ ((value >> (j - 1 - o)) & 1).astype(np.uint8)
-                return bit
-
-            parents, kept_value, pm, peak, n_sorts = _expand_block(
-                self.pm, vals, gid, step.kinds, resolve, self.domain,
-                self.w, self.L, self.F)
-        kept_bits = _pattern_tables(step.width)[0][kept_value]
+        parents, kept_value, pm, peak, n_sorts = _block_candidates(
+            self.pm, vals, gid, step.kinds, step.parity_leaves,
+            self.pc_acc, self.domain, self.w, self.L, self.F)
+        kept_bits = _pattern_tables(step.width)[kept_value]
         self._apply_parents(parents)
         keep = len(parents)
         self.L_act = keep // self.F
@@ -966,9 +780,7 @@ class _ListDecoder:
             tw = self.tail_bits.shape[1]
             U[:, self.N - tw:] = self.tail_bits[:rows]
             for t in range(tw.bit_length() - 1, self.n):
-                prow = self.store.ps_map[:rows, t]
-                b = self.store.base[("ps", t)]
-                S = self.store.data[("ps", t)][prow - b]
+                S = self.store.banks[("ps", t)][self.store.ps_map[:rows, t]]
                 U[:, self.N - (1 << (t + 1)):self.N - (1 << t)] = \
                     _transform_rows(S)
         crc_ok = None

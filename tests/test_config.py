@@ -168,13 +168,11 @@ def test_build_profile_overrides():
     cfg.set("decoder", "leaf_width", "2")
     cfg.set("decoder", "storage_stride", "1")
     cfg.set("decoder", "selection", "best_pm")
-    cfg.set("decoder", "store_mode", "copy")
     cfg.set("quant", "q_c", "5")
     prof = cfg.build_profile()
     assert prof.leaf_width == 2
     assert prof.storage_stride == 1
     assert prof.selection == "best_pm"
-    assert prof.store_mode == "copy"
     assert prof.quant.q_c == 5
 
     # multi_bit=false forces bit-serial leaves regardless of leaf_width

@@ -189,7 +189,7 @@ def test_split_and_select_matches_bit_serial_chain():
     dom = FloatDomain()
     for _ in range(300):
         P = rng.choice([1, 2, 4, 8])
-        W = rng.choice([2, 4])
+        W = rng.choice([2, 4, 8])
         L = rng.choice([2, 4, 8])
         pms = np.round(rng.uniform(0, 8, P), 3)
         vec = np.round(rng.normal(0, 3, (P, W)), 3)
@@ -200,6 +200,35 @@ def test_split_and_select_matches_bit_serial_chain():
         assert np.array_equal(got["parent"], parent)
         assert np.array_equal(got["bits"], bits)
         assert np.allclose(got["pm"], pm)
+
+
+def test_leaf_width_above_the_limit_is_rejected():
+    with pytest.raises(ValueError, match="leaf width 16 exceeds the limit of 8"):
+        split_and_select(np.zeros(1), np.ones((1, 16)), [FREE] * 16, 4)
+    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+    prof = profile_for("flexible", leaf_width=16, n_max_log=14)
+    with pytest.raises(ValueError, match="leaf width 16 exceeds the limit of 8"):
+        decode(np.ones(64), spec, prof, L=8)
+
+
+@pytest.mark.parametrize("kind, L, leaf_width, N, crc, want", [
+    ("flexible", 8, 4, 256, 8, (99, 7128, 16876)),
+    ("ultra", 32, 2, 128, 0, (385, 6160, 37566)),
+    ("flexible", 8, 8, 128, 8, (62, 4464, 5712)),
+    ("sc", 1, 1, 256, 0, (0, 0, 0)),
+])
+def test_clone_counters_pinned(kind, L, leaf_width, N, crc, want):
+    """Clone events and the element copies that physically copying each
+    clone's banks costs, pinned to values from a decoder that made those
+    copies (two noisy frames per batch)."""
+    rng = np.random.default_rng(N + L)
+    spec = construct_code(N, N // 2, method="bhattacharyya", design_param=0.5,
+                          crc=CrcSpec(crc) if crc else None)
+    llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(2)])
+    prof = profile_for(kind, leaf_width=leaf_width)
+    stats = decode_batch(llrs, spec, prof, L=L).stats
+    assert (stats["clone_events"], stats["llr_element_copies"],
+            stats["ps_element_copies"]) == want
 
 
 def test_recover_hand_trace_n4():

@@ -1,9 +1,9 @@
 """Property test: every decode path agrees with the bit-serial reference.
 
 Hypothesis draws small codes (optional CRC, parity constraints, good bits)
-and decoder settings (leaf width, storage stride, special-node cap, store
-mode, selection, frozen-prefix skip, stage-5 replicas, arithmetic, list
-size), and checks that ``decode``, each row of ``decode_batch`` and
+and decoder settings (leaf width, storage stride, special-node cap,
+selection, frozen-prefix skip, stage-5 replicas, arithmetic, list size),
+and checks that ``decode``, each row of ``decode_batch`` and
 ``scl_reference`` reach the same decisions, survivors (in order), survivor
 metrics and chosen path.
 """
@@ -55,7 +55,6 @@ def decoders(draw):
         leaf_width=draw(st.sampled_from([4, 2, 8, 1])),
         storage_stride=draw(st.integers(1, 4)),
         max_special_node=draw(st.sampled_from([4, 32, 0])),
-        store_mode=draw(st.sampled_from(["cow", "copy"])),
         selection=draw(st.sampled_from(["crc_aided", "best_pm",
                                         "parity_check"])),
         skip_frozen_prefix=draw(st.booleans()),
@@ -75,7 +74,7 @@ def decoders(draw):
 @example(spec=construct_code(2, 2), dec=(profile_for("ultra"), 4, "float"),
          seed=1, sigma=0.9)
 @example(spec=construct_code(16, 16, crc=CrcSpec(8)),
-         dec=(profile_for("flexible", store_mode="copy"), 8, "quantized"),
+         dec=(profile_for("flexible"), 8, "quantized"),
          seed=2, sigma=1.3)
 @example(spec=construct_code(64, 1), dec=(profile_for("sc"), 1, "float"),
          seed=3, sigma=1.3)
