@@ -16,7 +16,7 @@ from .qarith import (QLLR, PathMetric, QuantProfile, FloatDomain, QuantDomain,
                      quantize_channel_llr)
 from .engine import (DecoderProfile, DecodeResult, profile_for, decode,
                      first_nonfrozen_skip, recover_from_partial_sums,
-                     split_and_select)
+                     schedule_trace, split_and_select)
 from .cycles import (ArchParams, CycleReport, latency, double_package,
                      throughput, calibrate_sort_latency)
 from .channel import (ChannelConfig, FERPoint, transmit, run_fer,

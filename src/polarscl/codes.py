@@ -348,16 +348,18 @@ def good_bit_set(spec, threshold):
 # -- transform / encoding ----------------------------------------------------
 
 def polar_transform(bits):
-    """Multiply a bit vector by the Kronecker-power generator (an involution)."""
+    """Multiply a bit vector by the Kronecker-power generator (an involution).
+
+    Leading axes are rows: each vector along the last axis is transformed.
+    """
     x = np.array(bits, dtype=np.uint8, copy=True)
-    N = len(x)
+    N = x.shape[-1]
     if N > 1:
         _block_log(N)
     h = 1
     while h < N:
-        x = x.reshape(-1, 2 * h)
-        x[:, :h] ^= x[:, h:]
-        x = x.reshape(-1)
+        v = x.reshape(-1, 2 * h)          # a view: x is a fresh C-order copy
+        v[:, :h] ^= v[:, h:]
         h *= 2
     return x
 

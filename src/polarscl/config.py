@@ -30,7 +30,7 @@ Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
     leaf_width = 4
     multi_bit = true          # false forces leaf_width 1
     storage_stride = 3
-    selection = crc_aided     # best_pm | crc_aided | parity_check
+    selection = crc_aided     # best_pm | crc_aided (lowest metric among CRC passes)
     max_special_node = 32     # 0 disables special-node shortcuts
     skip_frozen_prefix = true
     good_bits = true          # false ignores the code's good-bit mask
@@ -70,7 +70,7 @@ import io
 from .codes import (CRC_POLYNOMIALS, CrcSpec, ParityCheckSpec, construct_code,
                     load_code_spec)
 from .cycles import ArchParams
-from .engine import DEFAULT_BATCH, profile_for
+from .engine import DEFAULT_BATCH, SELECTIONS, profile_for
 from .qarith import QuantProfile
 
 
@@ -155,7 +155,7 @@ _SCHEMA = {
         "leaf_width": (_int, None),
         "multi_bit": (_bool, True),
         "storage_stride": (_int, None),
-        "selection": (_choice("best_pm", "crc_aided", "parity_check"), None),
+        "selection": (_choice(*SELECTIONS), None),
         "max_special_node": (_int, None),
         "skip_frozen_prefix": (_bool, None),
         "good_bits": (_bool, True),

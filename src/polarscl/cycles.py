@@ -1,7 +1,10 @@
 """Cycle-level latency model of the decoder datapath.
 
-The decode engine emits a DecodeTrace: an ordered list of events in
-successive-cancellation dependency order. This module prices the events
+A DecodeTrace is an ordered list of events in successive-cancellation
+dependency order. The schedule does not depend on the data, so
+``engine.schedule_trace`` builds it from the decode plan without
+decoding (``decode(..., collect_trace=True)`` attaches the same trace).
+This module prices the events
 against an ArchParams configuration (a calibration model of processing
 waves, not a register-accurate netlist), schedules two packages against
 each other for the interleaved two-frame mode, and converts cycle counts
@@ -21,8 +24,6 @@ Pricing rules:
 """
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 PE = "pe"
 SORTER = "sort"

@@ -4,8 +4,11 @@ The decoder walks the code tree in natural order, keeping up to L candidate
 paths. Four architectural mechanisms are modeled bit-accurately:
 
   * strided LLR storage: only every ``storage_stride``-th stage keeps a
-    bank per path; intermediate stages are recomputed on demand from the
-    nearest stored ancestor (the channel bank is shared by all paths);
+    bank per path; intermediate stages are recomputed from the nearest
+    stored ancestor (the channel bank is shared by all paths). The
+    schedule does not depend on the data, so the plan decides each step's
+    recompute chain once, and the cycle trace (``schedule_trace``) comes
+    from that plan rather than from the decode loop;
   * address-map path cloning: each path reaches its banks through an
     address map, so surviving a pruning sort gathers map rows instead of
     copying LLR words; the element counters report what copying the banks
@@ -16,8 +19,7 @@ paths. Four architectural mechanisms are modeled bit-accurately:
     re-indexing survivors in (parent, pattern) order after each sort;
   * decision recovery from partial sums: decoded bits are never stored per
     path during the walk; the final partial-sum banks are transformed back
-    into u at the end (``record_decisions=True`` keeps a shadow copy for
-    cross-checking).
+    into u at the end.
 
 Frozen-prefix skipping and rate-0 / rate-1 subtree shortcuts evaluate the
 same f/g recursion with forced decisions, so they change the schedule (and
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import crc_check_rows
+from .codes import crc_check_rows, polar_transform
 from .cycles import DecodeTrace
 from .qarith import FloatDomain, QuantDomain, QuantProfile
 
@@ -37,6 +39,9 @@ FREE, FROZEN, GOOD, PARITY = 0, 1, 2, 3
 
 # The pattern tensor of a leaf block grows as 2^W, so blocks stop at 8 leaves.
 MAX_LEAF_WIDTH = 8
+
+# Final path selection: lowest metric, or lowest among CRC-passing paths.
+SELECTIONS = ("best_pm", "crc_aided")
 
 
 # -- decoder profiles ----------------------------------------------------------
@@ -56,6 +61,13 @@ class DecoderProfile:
     semi_parallel_stages: tuple = ()
     semi_parallel_group: int = 4
     stage5_replicas: int = 0
+
+    def __post_init__(self):
+        if self.selection not in SELECTIONS:
+            raise ValueError("unknown selection %r (have: %s)"
+                             % (self.selection, ", ".join(SELECTIONS)))
+        if self.storage_stride < 1:
+            raise ValueError("storage stride must be at least 1")
 
 
 _PROFILES = {
@@ -80,7 +92,7 @@ _PROFILES = {
         quant=QuantProfile(q_c=6, q_i=6, q_i_overrides=((0, 7),),
                            q_sort=7, q_pm=6, channel_scale=0.75),
         storage_stride=4, leaf_width=2, max_special_node=4,
-        selection="parity_check", semi_parallel_stages=(4, 3),
+        semi_parallel_stages=(4, 3),
         semi_parallel_group=4, stage5_replicas=4,
     ),
 }
@@ -128,19 +140,6 @@ def _bits_of(values, width):
     """Integer pattern values -> bit rows, most significant bit first."""
     shifts = np.arange(width - 1, -1, -1)
     return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
-
-
-def _transform_rows(bits):
-    """Row-wise Kronecker-power transform (involution) on a (rows, W) array."""
-    x = np.array(bits, dtype=np.uint8, copy=True)
-    rows, W = x.shape
-    h = 1
-    while h < W:
-        x = x.reshape(rows, -1, 2 * h)
-        x[:, :, :h] ^= x[:, :, h:]
-        x = x.reshape(rows, W)
-        h *= 2
-    return x
 
 
 # -- per-path bank store -------------------------------------------------------
@@ -203,28 +202,21 @@ class PathStore:
 # -- static schedule -----------------------------------------------------------
 
 @dataclass
-class BlockStep:
-    """One leaf block: decide `width` consecutive leaves in a single step."""
-    v: int
-    start: int
-    width: int
-    kinds: np.ndarray
-    parity_leaves: dict      # leaf offset -> (constraint idx, earlier source offsets)
-    acc_updates: list        # (constraint idx, source offsets inside this span)
-    has_tail: bool
-
-
-@dataclass
-class SpecialStep:
-    """A whole subtree decided by forced decisions (rate-0 / rate-1)."""
+class Step:
+    """One step of the schedule, at node v of stage t: a leaf block (kind
+    'block', its 2^t leaves decided at once) or a subtree decided by forced
+    decisions (kind 'rate0' / 'rate1')."""
     kind: str
     t: int
     v: int
-    start: int
-    width: int
-    is_prefix: bool
-    acc_updates: list
-    has_tail: bool
+    acc_updates: list        # (constraint idx, source offsets inside this span)
+    has_tail: bool           # the last step: its decisions are the tail
+    is_prefix: bool = False  # the skipped all-frozen head of the schedule
+    kinds: np.ndarray = None     # block: the kind of each leaf
+    parity_leaves: dict = None   # block: leaf offset -> (constraint idx, earlier source offsets)
+    free: int = 0            # block: free leaves, each doubles the paths
+    src: int = 0             # stage read first: a stored bank, or the channel (n)
+    chain: tuple = ()        # (t, v, stored, fresh) stage computations, top down
 
 
 def first_nonfrozen_skip(frozen_mask, leaf_width=1):
@@ -279,40 +271,52 @@ def _build_plan(spec, profile):
                 leaves[p - start] = (ci, pre)
         return ups, leaves
 
+    # Strided recompute does not depend on the data: track the node each
+    # stored bank holds and the node each stage computed last.
+    held = {t: -1 for t in range(0, n, profile.storage_stride)}
+    computed = [-1] * n
     steps = []
 
-    def walk(t, v):
+    def add(step):
+        t, v, src = step.t, step.v, step.t
+        while src < n and held.get(src) != v >> (src - t):
+            src += 1
+        for s in range(src - 1, t - 1, -1):
+            node = v >> (s - t)
+            if s in held:
+                held[s] = node
+            step.chain += ((s, node, s in held, computed[s] != node),)
+            computed[s] = node
+        step.src = src
+        steps.append(step)
+
+    # Depth-first in natural leaf order, on an explicit stack: a recursive
+    # closure would hold the plan in a reference cycle until the cyclic GC.
+    stack = [(n, 0)]
+    while stack:
+        t, v = stack.pop()
         start, width = v << t, 1 << t
         seg = kinds[start:start + width]
+        tail = start + width == N
+        special = width <= profile.max_special_node and t >= w
         if prefix == (t, v):
-            steps.append(SpecialStep("rate0", t, v, start, width, True, [],
-                                     start + width == N))
-            return
-        if width <= profile.max_special_node and t >= w:
-            if (seg == FROZEN).all():
-                steps.append(SpecialStep("rate0", t, v, start, width, False, [],
-                                         start + width == N))
-                return
-            if (seg == GOOD).all():
-                ups, _ = span_updates(start, width, False)
-                steps.append(SpecialStep("rate1", t, v, start, width, False, ups,
-                                         start + width == N))
-                return
-        if t == w:
+            add(Step("rate0", t, v, [], tail, is_prefix=True))
+        elif special and (seg == FROZEN).all():
+            add(Step("rate0", t, v, [], tail))
+        elif special and (seg == GOOD).all():
+            add(Step("rate1", t, v, span_updates(start, width, False)[0], tail))
+        elif t == w:
             ups, leaves = span_updates(start, width, True)
-            steps.append(BlockStep(v, start, width, seg.copy(), leaves, ups,
-                                   start + width == N))
-            return
-        walk(t - 1, 2 * v)
-        walk(t - 1, 2 * v + 1)
-
-    walk(n, 0)
+            add(Step("block", t, v, ups, tail, kinds=seg.copy(),
+                     parity_leaves=leaves, free=int((seg == FREE).sum())))
+        else:
+            stack += [(t - 1, 2 * v + 1), (t - 1, 2 * v)]
     return steps, w
 
 
 def _plan_for(spec, profile):
     key = (profile.leaf_width, profile.max_special_node,
-           profile.skip_frozen_prefix)
+           profile.skip_frozen_prefix, profile.storage_stride)
     plan = spec._plan_cache.get(key)
     if plan is None:
         plan = _build_plan(spec, profile)
@@ -340,7 +344,7 @@ def _forced_eval(vals, kind, t, domain):
         # breaks the sign argument, so those rare nodes take the recursion.
         if vals.all():
             beta = domain.hd(vals)
-            return _transform_rows(beta), beta, np.zeros_like(vals)
+            return polar_transform(beta), beta, np.zeros_like(vals)
         return _forced_eval_serial(vals, kind, t, domain)
     # rate-0: every partial sum stays zero, so the g step degenerates to a
     # plain saturating sum and each level evaluates in one vector pass.
@@ -387,7 +391,7 @@ def _pattern_tables(W):
 @functools.cache
 def _pattern_sums(W):
     """Partial sums (transforms) of all 2^W patterns, row p for pattern p."""
-    sums = _transform_rows(_pattern_tables(W))
+    sums = polar_transform(_pattern_tables(W))
     sums.flags.writeable = False
     return sums
 
@@ -566,24 +570,20 @@ def recover_from_partial_sums(partial_sums, tail_bits):
     or final forced subtree -- whose writes only cascade upward and never
     land in a kept bank. When the decode finished, the stage-t bank holds
     the transform of u[N-2^(t+1) : N-2^t]; the transform is an involution,
-    so applying it once more recovers u.
+    so applying it once more recovers u. Leading axes are rows (paths).
     """
-    tail = np.asarray(tail_bits, dtype=np.uint8).ravel()
-    tw = len(tail)
+    tail = np.asarray(tail_bits, dtype=np.uint8)
+    tw = tail.shape[-1]
     if tw & (tw - 1):
         raise ValueError("tail length must be a power of two")
     w = tw.bit_length() - 1
-    n = w + len(partial_sums)
-    N = 1 << n
-    u = np.zeros(N, dtype=np.uint8)
-    u[N - tw:] = tail
-    t = w
-    for S in partial_sums:
-        S = np.asarray(S, dtype=np.uint8).ravel()
-        if len(S) != 1 << t:
+    N = 1 << (w + len(partial_sums))
+    u = np.zeros(tail.shape[:-1] + (N,), dtype=np.uint8)
+    u[..., N - tw:] = tail
+    for t, S in enumerate(partial_sums, w):
+        if np.shape(S)[-1] != 1 << t:
             raise ValueError("stage %d bank must hold %d bits" % (t, 1 << t))
-        u[N - (1 << (t + 1)):N - (1 << t)] = _transform_rows(S[None, :])[0]
-        t += 1
+        u[..., N - (1 << (t + 1)):N - (1 << t)] = polar_transform(S)
     return u
 
 
@@ -620,8 +620,7 @@ class BatchResult:
 
 
 class _ListDecoder:
-    def __init__(self, spec, profile, L, domain, collect_trace, record_decisions,
-                 frames):
+    def __init__(self, spec, profile, L, domain, frames):
         self.spec = spec
         self.profile = profile
         self.L = L
@@ -629,8 +628,6 @@ class _ListDecoder:
         self.domain = domain
         self.n, self.N = spec.n, spec.N
         self.steps, self.w = _plan_for(spec, profile)
-        stored = [t for t in range(self.n) if t % profile.storage_stride == 0]
-        self.stored_set = set(stored)
         R = L * frames
         self.store = PathStore(self.n, R)
         ncon = len(spec.pc.constraints) if spec.pc is not None else 0
@@ -638,44 +635,30 @@ class _ListDecoder:
         # The final step's decisions only cascade upward, never into the
         # per-stage banks below it, so the tail register spans that whole
         # step (one leaf block, or a wider forced subtree).
-        self.tail_bits = np.zeros((R, int(self.steps[-1].width)), dtype=np.uint8)
-        self.shadow = np.zeros((R, self.N), dtype=np.uint8) if record_decisions else None
+        self.tail_bits = np.zeros((R, 1 << self.steps[-1].t), dtype=np.uint8)
         self.pm = np.zeros(frames, dtype=domain.pm_dtype)
         self.L_act = 1              # active paths per frame (lockstep)
         self.rows = frames          # total active path rows = F * L_act
         self._frame_ids = np.arange(frames)
-        self.trace = None
-        if collect_trace:
-            self.trace = DecodeTrace(
-                N=self.N, k=spec.k, L=L, kind=profile.kind,
-                semi_parallel_stages=profile.semi_parallel_stages,
-                semi_parallel_group=profile.semi_parallel_group)
-        self.bank_node = {t: -1 for t in stored}
-        self.last_v = np.full(self.n + 1, -1, dtype=np.int64)
 
-    # ---- LLR vector access (with on-demand recompute) ----
+    # ---- LLR vector access (the plan's recompute chain) ----
 
-    def _vecs(self, t, v):
-        if t == self.n:
-            return self.chan, np.repeat(self._frame_ids, self.L_act)
-        if t in self.stored_set and self.bank_node[t] == v:
-            return self.store.read("llr", t, self.rows)
-        pv, pgid = self._vecs(t + 1, v >> 1)
-        h = 1 << t
-        if v & 1 == 0:
-            vals = self.domain.f(pv[:, :h], pv[:, h:], t)
-            gid = pgid
+    def _vecs(self, step):
+        if step.src == self.n:
+            vals, gid = self.chan, np.repeat(self._frame_ids, self.L_act)
         else:
-            first, gid, s = self._with_ps(t, pgid)
-            pu = pv[pgid[first]]
-            vals = self.domain.g(pu[:, h:], pu[:, :h], s, t)
-        if t in self.stored_set:
-            self.store.write("llr", t, vals, gid, self.rows)
-            self.bank_node[t] = v
-        if self.trace is not None:
-            self.trace.stage(t, "g" if v & 1 else "f", self.L_act,
-                             bool(self.last_v[t] != v))
-        self.last_v[t] = v
+            vals, gid = self.store.read("llr", step.src, self.rows)
+        for t, v, stored, _fresh in step.chain:
+            h = 1 << t
+            if v & 1 == 0:
+                vals = self.domain.f(vals[:, :h], vals[:, h:], t)
+            else:
+                first, pair, s = self._with_ps(t, gid)
+                pu = vals[gid[first]]
+                vals = self.domain.g(pu[:, h:], pu[:, :h], s, t)
+                gid = pair
+            if stored:
+                self.store.write("llr", t, vals, gid, self.rows)
         return vals, gid
 
     def _with_ps(self, t, key):
@@ -714,17 +697,15 @@ class _ListDecoder:
         k = len(parents)
         self.pc_acc[:k] = self.pc_acc[parents]
         self.tail_bits[:k] = self.tail_bits[parents]
-        if self.shadow is not None:
-            self.shadow[:k] = self.shadow[parents]
 
     # ---- step processors ----
 
     def _block(self, step):
-        vals, gid = self._vecs(self.w, step.v)
-        parents, kept_value, pm, peak, n_sorts = _block_candidates(
+        vals, gid = self._vecs(step)
+        parents, kept_value, pm, _peak, _sorts = _block_candidates(
             self.pm, vals, gid, step.kinds, step.parity_leaves,
             self.pc_acc, self.domain, self.w, self.L, self.F)
-        kept_bits = _pattern_tables(step.width)[kept_value]
+        kept_bits = _pattern_tables(1 << self.w)[kept_value]
         self._apply_parents(parents)
         keep = len(parents)
         self.L_act = keep // self.F
@@ -735,16 +716,12 @@ class _ListDecoder:
                                                             axis=1)
         if step.has_tail:
             self.tail_bits[:keep] = kept_bits
-        if self.shadow is not None:
-            self.shadow[:keep, step.start:step.start + step.width] = kept_bits
-        if self.trace is not None:
-            self.trace.leaf(self.w, peak // self.F, self.L_act, n_sorts)
         uniq_val, key = np.unique(kept_value, return_inverse=True)
-        beta_u = _transform_rows(_bits_of(uniq_val, step.width))
+        beta_u = polar_transform(_bits_of(uniq_val, 1 << self.w))
         self._write_beta(self.w, step.v, beta_u, key)
 
     def _special(self, step):
-        vals, gid = self._vecs(step.t, step.v)
+        vals, gid = self._vecs(step)
         u_u, beta_u, pens_u = _forced_eval(vals, step.kind, step.t, self.domain)
         self.pm = self.domain.pm_fold(self.pm, pens_u[gid])
         if step.acc_updates:
@@ -754,10 +731,6 @@ class _ListDecoder:
                     bits[:, offs], axis=1)
         if step.has_tail:
             self.tail_bits[:self.rows] = u_u[gid]
-        if self.shadow is not None:
-            self.shadow[:self.rows, step.start:step.start + step.width] = u_u[gid]
-        if self.trace is not None:
-            self.trace.special(step.kind, step.t, self.L_act, step.is_prefix)
         self._write_beta(step.t, step.v, beta_u, gid.astype(np.int64))
 
     # ---- top level ----
@@ -765,7 +738,7 @@ class _ListDecoder:
     def run(self, chan):
         self.chan = chan
         for step in self.steps:
-            if isinstance(step, BlockStep):
+            if step.kind == "block":
                 self._block(step)
             else:
                 self._special(step)
@@ -773,16 +746,11 @@ class _ListDecoder:
 
     def _finalize(self):
         rows, F, c = self.rows, self.F, self.L_act
-        if self.shadow is not None:
-            U = self.shadow[:rows].copy()
-        else:
-            U = np.zeros((rows, self.N), dtype=np.uint8)
-            tw = self.tail_bits.shape[1]
-            U[:, self.N - tw:] = self.tail_bits[:rows]
-            for t in range(tw.bit_length() - 1, self.n):
-                S = self.store.banks[("ps", t)][self.store.ps_map[:rows, t]]
-                U[:, self.N - (1 << (t + 1)):self.N - (1 << t)] = \
-                    _transform_rows(S)
+        tw = self.tail_bits.shape[1]
+        U = recover_from_partial_sums(
+            [self.store.banks[("ps", t)][self.store.ps_map[:rows, t]]
+             for t in range(tw.bit_length() - 1, self.n)],
+            self.tail_bits[:rows])
         crc_ok = None
         if self.spec.crc is not None:
             keep = ~self.spec.frozen_mask.copy()
@@ -807,7 +775,7 @@ class _ListDecoder:
             survivors_u=U.reshape(F, c, self.N),
             survivors_pm=self.pm.reshape(F, c).copy(),
             survivors_crc=crc_ok.reshape(F, c) if crc_ok is not None else None,
-            trace=self.trace,
+            trace=None,
             stats=dict(self.store.stats(), list_size=c),
         )
 
@@ -816,8 +784,52 @@ class _ListDecoder:
 DEFAULT_BATCH = 128
 
 
+def _checked(spec, profile, L):
+    """(profile, L) of a decode of spec; profile may be a built-in name and
+    L defaults to the profile's maximum."""
+    if not isinstance(profile, DecoderProfile):
+        profile = profile_for(profile)
+    if spec.n > profile.n_max_log:
+        raise ValueError("block length 2^%d exceeds the profile limit 2^%d"
+                         % (spec.n, profile.n_max_log))
+    L = L or profile.l_max
+    if L < 1 or L & (L - 1) or L > profile.l_max:
+        raise ValueError("list size must be a power of two <= %d" % profile.l_max)
+    return profile, L
+
+
+def schedule_trace(spec, profile, L=None):
+    """The cycle trace of one decode, computed from its plan alone.
+
+    The schedule does not depend on the data: each step runs its plan's
+    f/g chain on the current paths, each free leaf doubles the paths and
+    past L prunes them back with one sort, and a forced subtree keeps
+    them. So the trace needs path counts only, no arithmetic.
+    """
+    profile, L = _checked(spec, profile, L)
+    steps, w = _plan_for(spec, profile)
+    trace = DecodeTrace(N=spec.N, k=spec.k, L=L, kind=profile.kind,
+                        semi_parallel_stages=profile.semi_parallel_stages,
+                        semi_parallel_group=profile.semi_parallel_group)
+    paths = 1
+    for step in steps:
+        for t, v, _stored, fresh in step.chain:
+            trace.stage(t, "g" if v & 1 else "f", paths, fresh)
+        if step.kind != "block":
+            trace.special(step.kind, step.t, paths, step.is_prefix)
+            continue
+        peak, sorts = paths, 0
+        for _ in range(step.free):
+            paths *= 2
+            peak = max(peak, paths)
+            if paths > L:
+                paths, sorts = L, sorts + 1
+        trace.leaf(w, peak, paths, sorts)
+    return trace
+
+
 def decode(chan_llrs, spec, profile, L=None, arithmetic="quantized",
-           collect_trace=False, record_decisions=False):
+           collect_trace=False):
     """List-decode one frame of channel LLRs: a lockstep batch of one.
 
     Takes the arguments of ``decode_batch`` with chan_llrs of shape (N,)
@@ -828,8 +840,7 @@ def decode(chan_llrs, spec, profile, L=None, arithmetic="quantized",
         raise ValueError("expected %d channel LLRs, got shape %r"
                          % (spec.N, x.shape))
     b = decode_batch(x[None, :], spec, profile, L=L, arithmetic=arithmetic,
-                     collect_trace=collect_trace,
-                     record_decisions=record_decisions)
+                     collect_trace=collect_trace)
     return DecodeResult(
         u_hat=b.u_hat[0],
         info_hat=b.info_hat[0],
@@ -845,7 +856,7 @@ def decode(chan_llrs, spec, profile, L=None, arithmetic="quantized",
 
 
 def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
-                 collect_trace=False, record_decisions=False):
+                 collect_trace=False):
     """List-decode a batch of frames in lockstep; chan_llrs is (frames, N).
 
     profile may be a DecoderProfile or a built-in name. arithmetic is
@@ -861,17 +872,10 @@ def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
     independent, so the frames march through the same steps with the same
     per-frame path counts while their arithmetic never mixes. Batching
     only amortizes the per-step dispatch cost over the frame axis. For
-    the same reason the trace (``collect_trace=True``) of a batch is the
-    trace of each of its frames. Returns a BatchResult.
+    the same reason ``collect_trace=True`` attaches ``schedule_trace``,
+    the trace of each of the batch's frames. Returns a BatchResult.
     """
-    if not isinstance(profile, DecoderProfile):
-        profile = profile_for(profile)
-    if spec.n > profile.n_max_log:
-        raise ValueError("block length 2^%d exceeds the profile limit 2^%d"
-                         % (spec.n, profile.n_max_log))
-    L = L or profile.l_max
-    if L < 1 or L & (L - 1) or L > profile.l_max:
-        raise ValueError("list size must be a power of two <= %d" % profile.l_max)
+    profile, L = _checked(spec, profile, L)
     if arithmetic == "quantized":
         domain = QuantDomain(profile.quant, spec.n)
     elif arithmetic == "float":
@@ -891,5 +895,7 @@ def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
             raise ValueError("frame %d: non-finite channel LLR"
                              % int(np.argmax(bad)))
         chan = domain.channel(x)
-    return _ListDecoder(spec, profile, L, domain, collect_trace,
-                        record_decisions, len(x)).run(chan)
+    res = _ListDecoder(spec, profile, L, domain, len(x)).run(chan)
+    if collect_trace:
+        res.trace = schedule_trace(spec, profile, L)
+    return res

@@ -16,20 +16,21 @@ from .qarith import FloatDomain
 
 
 def _next_bit_llr(y, prefix, domain, t):
-    """LLR of the first undecided leaf of a node, from scratch.
+    """LLR of the first undecided leaf of a node, for each path.
 
-    y: the node's LLR vector (length 2^t); prefix: the node's already
-    decided leaves. Descends f while the target sits in the left half,
-    else folds the left half's partial sums into one g step.
+    y: the node's LLR vector (length 2^t), shared or one row per path;
+    prefix: each path's already decided leaves, (paths, i). Descends f
+    while the target sits in the left half, else folds the left half's
+    partial sums into one g step.
     """
-    if len(y) == 1:
-        return y[0]
-    h = len(y) // 2
-    if len(prefix) < h:
-        return _next_bit_llr(domain.f(y[:h], y[h:], t - 1), prefix, domain, t - 1)
-    beta = polar_transform(np.asarray(prefix[:h], dtype=np.uint8))
-    g = domain.g(y[h:], y[:h], beta, t - 1)
-    return _next_bit_llr(g, prefix[h:], domain, t - 1)
+    if y.shape[-1] == 1:
+        return np.broadcast_to(y[..., 0], len(prefix))
+    h = y.shape[-1] // 2
+    if prefix.shape[1] < h:
+        return _next_bit_llr(domain.f(y[..., :h], y[..., h:], t - 1), prefix,
+                             domain, t - 1)
+    g = domain.g(y[..., h:], y[..., :h], polar_transform(prefix[:, :h]), t - 1)
+    return _next_bit_llr(g, prefix[:, h:], domain, t - 1)
 
 
 def sc_decode(llrs, frozen_mask):
@@ -67,7 +68,7 @@ def forced_path_metric(llrs, u, domain=None):
     n = len(u).bit_length() - 1
     pm = np.zeros(1, dtype=domain.pm_dtype)
     for i in range(len(u)):
-        llr = _next_bit_llr(y, u[:i], domain, n)
+        llr = _next_bit_llr(y, u[None, :i], domain, n)[0]
         hd = int(llr < 0)
         if int(u[i]) != hd:
             pm = domain.pm_add(pm, np.abs(np.asarray([llr])))
@@ -112,8 +113,7 @@ def scl_reference(llrs, spec, L, domain=None, selection="best_pm"):
     paths = np.zeros((1, N), dtype=np.uint8)
     pm = np.zeros(1, dtype=domain.pm_dtype)
     for i in range(N):
-        llr = np.array([_next_bit_llr(y, paths[p, :i], domain, n)
-                        for p in range(len(paths))])
+        llr = _next_bit_llr(y, paths[:, :i], domain, n)
         hd = domain.hd(llr)
         pen = domain.pen(llr)
         if frozen[i]:

@@ -200,10 +200,42 @@ def test_latency_report_fields(tmp_path, capsys):
     assert float(out["double_throughput_gain"]) == pytest.approx(2.0 / ratio)
 
 
+def test_latency_reports_llr_storage(capsys):
+    """latency prints the LLR storage layout, so storage_stride and
+    stage5_replicas each change its report."""
+    def llr_lines(*sets):
+        argv = ["latency", "--set", "code.n=256", "--set", "code.k=128",
+                "--profile", "ultra", "-q"]
+        for s in sets:
+            argv += ["--set", s]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        return dict(ln.split(" = ") for ln in out if ln.startswith("llr_"))
+    base = llr_lines()
+    assert base == {"llr_stored_stages": "0 4", "llr_per_path_entries": "17",
+                    "llr_replica_entries": "128", "llr_list_entries": "672",
+                    "llr_ratio": repr(672 / (32 * 255))}
+    no_replicas = llr_lines("decoder.stage5_replicas=0")
+    assert no_replicas["llr_replica_entries"] == "0"
+    assert no_replicas["llr_list_entries"] == str(32 * 17)
+    stride3 = llr_lines("decoder.storage_stride=3")
+    assert stride3["llr_stored_stages"] == "0 3 6"
+    assert stride3["llr_per_path_entries"] == "73"
+
+
+def test_latency_rejects_bad_settings(capsys):
+    assert main(["latency", "-L", "3", "-q"]) == 1
+    assert "error: list size must be a power of two <= 8" \
+        in capsys.readouterr().err
+    assert main(["latency", "--set", "decoder.selection=parity_check",
+                 "-q"]) == 2
+    assert "[decoder] selection" in capsys.readouterr().err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest", "-q"]) == 0
     out = capsys.readouterr().out
-    assert out.count(" ok") == 8
+    assert out.count(" ok") == 7
     assert "FAIL" not in out
 
 

@@ -88,7 +88,7 @@ def test_effective_text_roundtrips(tmp_path):
         "code.parity=12:3,7;40:20,33",
         "quant.q_i_overrides=0:7 3:8",
         "decoder.l=4",
-        "decoder.selection=parity_check",
+        "decoder.selection=best_pm",
         "campaign.snr_db=1.0 1.5 2.25",
         "arch.f_clk_hz=7.5e8",
     ])

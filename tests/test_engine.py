@@ -243,7 +243,9 @@ def test_recover_hand_trace_n4():
     assert np.array_equal(u, [1, 0, 1, 1])
 
 
-def test_recover_matches_shadow_decisions():
+def test_recover_matches_reference_decisions():
+    """u recovered from the partial-sum banks equals the decisions the
+    bit-serial reference stores directly, for every survivor."""
     rng = np.random.default_rng(6)
     for kind, L in (("sc", 1), ("flexible", 8), ("ultra", 32)):
         prof = profile_for(kind) if kind == "ultra" else \
@@ -254,10 +256,10 @@ def test_recover_matches_shadow_decisions():
                                   method="bhattacharyya", design_param=0.5)
             _, llr = noisy_llrs(spec, rng)
             a = decode(llr, spec, prof, L=L, arithmetic="quantized")
-            b = decode(llr, spec, prof, L=L, arithmetic="quantized",
-                       record_decisions=True)
-            assert np.array_equal(a.u_hat, b.u_hat), (kind, n)
-            assert np.array_equal(a.survivors_u, b.survivors_u)
+            dom = QuantDomain(prof.quant, n)
+            _u, paths, _pm = reference.scl_reference(
+                dom.channel(llr), spec, L, domain=dom)
+            assert np.array_equal(a.survivors_u, paths), (kind, n)
 
 
 def test_batch_equals_sequential():
@@ -326,6 +328,16 @@ def test_memory_summary_ultra_budget():
     assert m["replica_entries"] == 4 * 32
     assert m["list_entries"] == 32 * 273 + 128
     assert m["ratio"] <= 0.14
+
+
+def test_profile_rejects_unknown_selection_and_stride():
+    with pytest.raises(ValueError, match="unknown selection 'bogus'"):
+        profile_for("flexible", selection="bogus")
+    with pytest.raises(ValueError, match="unknown selection 'parity_check'"):
+        profile_for("ultra", selection="parity_check")
+    assert profile_for("ultra").selection == "best_pm"
+    with pytest.raises(ValueError, match="storage stride must be at least 1"):
+        profile_for("sc", storage_stride=0)
 
 
 def test_list_size_validation():

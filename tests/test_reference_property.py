@@ -55,8 +55,7 @@ def decoders(draw):
         leaf_width=draw(st.sampled_from([4, 2, 8, 1])),
         storage_stride=draw(st.integers(1, 4)),
         max_special_node=draw(st.sampled_from([4, 32, 0])),
-        selection=draw(st.sampled_from(["crc_aided", "best_pm",
-                                        "parity_check"])),
+        selection=draw(st.sampled_from(["crc_aided", "best_pm"])),
         skip_frozen_prefix=draw(st.booleans()),
         stage5_replicas=draw(st.sampled_from([0, 4])),
     )
