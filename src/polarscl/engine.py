@@ -15,8 +15,11 @@ paths. Four architectural mechanisms are modeled bit-accurately:
     of each clone would have cost;
   * multi-bit leaf decisions: ``leaf_width`` leaves are decided per step by
     expanding every free-bit pattern of every path and pruning once, which
-    this module keeps exactly equivalent to bit-serial processing by
-    re-indexing survivors in (parent, pattern) order after each sort;
+    this module keeps exactly equivalent to bit-serial processing because
+    candidates stay in (parent, pattern) order: a candidate's position is
+    its serial path index, so a stable sort of the metrics breaks ties
+    exactly like the serial decoder, and sorting the kept positions
+    restores the order;
   * decision recovery from partial sums: decoded bits are never stored per
     path during the walk; the final partial-sum banks are transformed back
     into u at the end.
@@ -68,6 +71,16 @@ class DecoderProfile:
                              % (self.selection, ", ".join(SELECTIONS)))
         if self.storage_stride < 1:
             raise ValueError("storage stride must be at least 1")
+        lw = self.leaf_width
+        if lw < 1 or lw & (lw - 1):
+            raise ValueError("leaf width must be a power of two")
+        if lw > MAX_LEAF_WIDTH:
+            raise ValueError("leaf width %d exceeds the limit of %d"
+                             % (lw, MAX_LEAF_WIDTH))
+        if self.max_special_node < 0:
+            raise ValueError("max special node must not be negative")
+        if self.stage5_replicas < 0:
+            raise ValueError("stage 5 replicas must not be negative")
 
 
 _PROFILES = {
@@ -134,12 +147,14 @@ def llr_memory_summary(n, profile, L=None):
     }
 
 
-# -- small bit helpers ---------------------------------------------------------
+# -- small helpers -------------------------------------------------------------
 
-def _bits_of(values, width):
-    """Integer pattern values -> bit rows, most significant bit first."""
-    shifts = np.arange(width - 1, -1, -1)
-    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
+def _dedup(keys, size):
+    """``np.unique(keys, return_inverse=True)`` for integer keys in
+    [0, size), by marking each key instead of sorting."""
+    mark = np.zeros(size, dtype=bool)
+    mark[keys] = True
+    return np.flatnonzero(mark), np.cumsum(mark)[keys] - 1
 
 
 # -- per-path bank store -------------------------------------------------------
@@ -154,22 +169,32 @@ class PathStore:
     no bank contents: ``reassign`` is one gather of both maps. The element
     counters report what physically copying the banks would cost: each
     clone copies the 2^t words of every stage written so far.
+
+    Reads deduplicate addresses with a mark array over the bank's rows, not
+    a sort. While each of the ``frames`` lists has one path, every LLR map
+    column is the identity (LLR rows never merge across frames), so a read
+    returns the bank as it is. Partial-sum rows are shared across frames,
+    so their maps are not the identity then.
     """
 
-    def __init__(self, n, L):
+    def __init__(self, n, L, frames):
+        self.frames = frames
         self.banks = {}
-        self.maps = np.zeros((L, 2, n), dtype=np.int64)
+        self.maps = np.zeros((L * frames, 2, n), dtype=np.int64)
         self.llr_map, self.ps_map = self.maps[:, 0], self.maps[:, 1]
         self.words = {"llr": 0, "ps": 0}
         self.clone_events = 0
         self.llr_element_copies = 0
         self.ps_element_copies = 0
 
-    def read(self, kind, t, L_act):
-        """Deduplicated bank contents: (unique rows, path -> row index)."""
-        m = self.llr_map if kind == "llr" else self.ps_map
-        uniq, gid = np.unique(m[:L_act, t], return_inverse=True)
-        return self.banks[(kind, t)][uniq], gid
+    def read(self, t, rows):
+        """Deduplicated stage-t LLR bank of the first ``rows`` paths:
+        (unique rows, path -> row index)."""
+        bank = self.banks[("llr", t)]
+        if rows == self.frames:
+            return bank, np.arange(rows)
+        uniq, gid = _dedup(self.llr_map[:rows, t], len(bank))
+        return bank[uniq], gid
 
     def write(self, kind, t, vals_u, key, L_act):
         """Replace the stage-t bank of every active path.
@@ -184,8 +209,9 @@ class PathStore:
         m[:L_act, t] = key
 
     def reassign(self, parents):
-        """Survivor i inherits the banks of path parents[i] (clone step)."""
-        clones = len(parents) - len(np.unique(parents))
+        """Survivor i inherits the banks of path parents[i] (clone step);
+        parents are sorted, so each repeat is one clone."""
+        clones = int(np.count_nonzero(parents[1:] == parents[:-1]))
         self.clone_events += clones
         self.llr_element_copies += clones * self.words["llr"]
         self.ps_element_copies += clones * self.words["ps"]
@@ -240,11 +266,6 @@ def first_nonfrozen_skip(frozen_mask, leaf_width=1):
 def _build_plan(spec, profile):
     n, N = spec.n, spec.N
     lw = int(profile.leaf_width)
-    if lw < 1 or lw & (lw - 1):
-        raise ValueError("leaf width must be a power of two")
-    if lw > MAX_LEAF_WIDTH:
-        raise ValueError("leaf width %d exceeds the limit of %d"
-                         % (lw, MAX_LEAF_WIDTH))
     w = min(lw.bit_length() - 1, n)
     kinds = np.full(N, FREE, dtype=np.uint8)
     kinds[spec.frozen_mask] = FROZEN
@@ -383,7 +404,8 @@ def _forced_eval_serial(vals, kind, t, domain):
 @functools.cache
 def _pattern_tables(W):
     """Bits of all 2^W patterns, MSB-first: row p holds pattern p."""
-    bits = _bits_of(np.arange(1 << W), W)
+    shifts = np.arange(W - 1, -1, -1)
+    bits = ((np.arange(1 << W)[:, None] >> shifts) & 1).astype(np.uint8)
     bits.flags.writeable = False      # shared by every caller
     return bits
 
@@ -396,7 +418,7 @@ def _pattern_sums(W):
     return sums
 
 
-_S01 = np.array([0, 1], dtype=np.uint8)
+_S01 = np.array([False, True])
 
 
 def _llr_tensor(vals, w, domain):
@@ -426,34 +448,19 @@ def _llr_tensor(vals, w, domain):
     return full.reshape(U, -1, 2 * h)
 
 
-def _prune_order(parent, value, pm, L, frame, pm_cap=None):
-    """Keep each frame's L best candidates, in (parent, pattern) order.
+def _prune_order(pm, L, F):
+    """Positions of each frame's L best candidates, in position order.
 
-    Pruning order is (metric, parent index, pattern value); re-indexing the
-    survivors afterwards is what keeps every selection event numbering its
-    paths exactly like a bit-serial decoder. Frames are independent lists
-    decoded in lockstep: their candidate runs are contiguous and equally
-    long, so one frame-major sort prunes all of them at once. Candidates
-    enter (and leave) in frame-major (parent, pattern) order, so the
-    re-index never needs the frame as a key.
-
-    Integer metrics bounded by pm_cap (the sorter register ceiling) pack
-    all four keys into one word for a single stable argsort; float metrics
-    take the generic lexsort.
+    The F frames' candidate runs are contiguous and equally long, and each
+    run is in (parent, pattern) order, so a candidate's position is its
+    serial path index: one stable sort of each frame's metrics ranks ties
+    exactly like a bit-serial decoder, and sorting the kept positions puts
+    the survivors back in (parent, pattern) order. Integer and float
+    metrics take the same sort.
     """
-    F = int(frame[-1]) + 1
-    if pm_cap is not None:
-        pspan = int(parent[-1]) + 1
-        vspan = int(value.max()) + 1
-        if F * (pm_cap + 1) * pspan * vspan <= (1 << 62):
-            key = ((frame * (pm_cap + 1) + pm) * pspan + parent) * vspan + value
-            perm = np.argsort(key, kind="stable")
-        else:
-            perm = np.lexsort((value, parent, pm, frame))
-    else:
-        perm = np.lexsort((value, parent, pm, frame))
-    sel = perm.reshape(F, -1)[:, :L].ravel()
-    return sel[np.lexsort((value[sel], parent[sel]))]
+    C = len(pm) // F
+    best = np.argsort(pm.reshape(F, C), axis=1, kind="stable")[:, :L]
+    return (np.sort(best, axis=1) + C * np.arange(F)[:, None]).ravel()
 
 
 def _block_candidates(pm, vals, gid, kinds, parity_leaves, pc_acc, domain,
@@ -474,50 +481,53 @@ def _block_candidates(pm, vals, gid, kinds, parity_leaves, pc_acc, domain,
     """
     W = 1 << w
     full = _llr_tensor(vals, w, domain)           # (rows, 2^W, W)
-    hdv = full < 0
-    pen = domain.pen(full)
-    c0 = len(pm) // F
-    cap = None if domain.is_float else domain.pm_cap_sort
     parent = np.arange(len(pm))
     value = np.zeros(len(pm), dtype=np.int64)
     cur = np.asarray(pm, dtype=domain.pm_dtype)
     peak = len(pm)
     n_sorts = 0
     for j in range(W):
-        rows = gid[parent]
-        pidx = value << (W - j)                   # undecided suffix = 0
-        hd = hdv[rows, pidx, j]
-        pj = pen[rows, pidx, j]
+        # undecided suffix = 0 in the pattern index
+        llr = full[gid[parent], value << (W - j), j]
+        hd = llr < 0
+        pj = domain.pen(llr)
         kind = int(kinds[j])
         if kind == FREE:
-            parent = np.repeat(parent, 2)
-            value = np.repeat(value, 2)
-            cur = np.repeat(cur, 2)
-            hd = np.repeat(hd, 2)
-            pj = np.repeat(pj, 2)
-            bit = np.tile(_S01, len(parent) // 2)
-            cur = domain.pm_add(cur, np.where((bit != 0) != hd, pj, 0))
-            value = (value << 1) | bit
-            peak = max(peak, len(parent))
-            if len(parent) > L * F:
-                sel = _prune_order(parent, value, cur, L, parent // c0, cap)
-                parent, value, cur = parent[sel], value[sel], cur[sel]
+            # (paths, 2) metrics of the bit-0 and bit-1 children
+            both = domain.pm_add(cur[:, None],
+                                 np.where(hd[:, None] != _S01, pj[:, None], 0))
+            peak = max(peak, 2 * len(parent))
+            if len(parent) == F and L == 1:
+                # One path per frame: pruning is the hard comparison, ties
+                # to bit 0 like the stable sort.
+                bit = both[:, 1] < both[:, 0]
+                cur = np.where(bit, both[:, 1], both[:, 0])
+                value = (value << 1) | bit
+                n_sorts += 1
+            elif 2 * len(parent) > L * F:
+                sel = _prune_order(both.ravel(), L, F)
+                half = sel >> 1
+                parent, cur = parent[half], both.ravel()[sel]
+                value = (value[half] << 1) | (sel & 1)
                 n_sorts += 1
                 if L >= 2:
                     cur = domain.pm_normalize(cur.reshape(F, L)).reshape(-1)
-        else:
-            if kind == FROZEN:
-                cur = domain.pm_add(cur, np.where(hd, pj, 0))
-                value = value << 1
-            elif kind == GOOD:
-                value = (value << 1) | hd
             else:
-                ci, offs = parity_leaves[j]
-                req = pc_acc[parent, ci].astype(bool)
-                for o in offs:
-                    req = req ^ (((value >> (j - 1 - o)) & 1) != 0)
-                cur = domain.pm_add(cur, np.where(req != hd, pj, 0))
-                value = (value << 1) | req
+                parent = np.repeat(parent, 2)
+                value = ((value << 1)[:, None] | _S01).ravel()
+                cur = both.ravel()
+        elif kind == FROZEN:
+            cur = domain.pm_add(cur, np.where(hd, pj, 0))
+            value = value << 1
+        elif kind == GOOD:
+            value = (value << 1) | hd
+        else:
+            ci, offs = parity_leaves[j]
+            req = pc_acc[parent, ci].astype(bool)
+            for o in offs:
+                req = req ^ (((value >> (j - 1 - o)) & 1) != 0)
+            cur = domain.pm_add(cur, np.where(req != hd, pj, 0))
+            value = (value << 1) | req
     return parent, value, cur, peak, n_sorts
 
 
@@ -629,7 +639,7 @@ class _ListDecoder:
         self.n, self.N = spec.n, spec.N
         self.steps, self.w = _plan_for(spec, profile)
         R = L * frames
-        self.store = PathStore(self.n, R)
+        self.store = PathStore(self.n, L, frames)
         ncon = len(spec.pc.constraints) if spec.pc is not None else 0
         self.pc_acc = np.zeros((R, max(ncon, 1)), dtype=np.uint8)
         # The final step's decisions only cascade upward, never into the
@@ -647,31 +657,40 @@ class _ListDecoder:
         if step.src == self.n:
             vals, gid = self.chan, np.repeat(self._frame_ids, self.L_act)
         else:
-            vals, gid = self.store.read("llr", step.src, self.rows)
+            vals, gid = self.store.read(step.src, self.rows)
         for t, v, stored, _fresh in step.chain:
             h = 1 << t
             if v & 1 == 0:
                 vals = self.domain.f(vals[:, :h], vals[:, h:], t)
             else:
-                first, pair, s = self._with_ps(t, gid)
-                pu = vals[gid[first]]
+                keys, pair, s = self._with_ps(t, gid, len(vals))
+                pu = vals[keys]
                 vals = self.domain.g(pu[:, h:], pu[:, :h], s, t)
                 gid = pair
             if stored:
                 self.store.write("llr", t, vals, gid, self.rows)
         return vals, gid
 
-    def _with_ps(self, t, key):
-        """Distinct (key, stage-t partial-sum bank) pairs of the active paths.
+    def _with_ps(self, t, key, n_keys):
+        """Distinct (key, stage-t partial-sum row) pairs of the active paths,
+        for keys in [0, n_keys).
 
-        Returns (first path of each pair, path -> pair index, the partial
-        sums of each pair).
+        Returns (the key of each pair, path -> pair index, the partial sums
+        of each pair). With one path per frame every path is its own pair.
         """
         srows = self.store.ps_map[:self.rows, t]
         bank = self.store.banks[("ps", t)]
-        _uniq, first, pair = np.unique(key.astype(np.int64) * len(bank) + srows,
-                                       return_index=True, return_inverse=True)
-        return first, pair, bank[srows[first]]
+        if self.L_act == 1:
+            return key, self._frame_ids, bank[srows]
+        nb = len(bank)
+        code = key * nb + srows
+        # A mark array over every possible pair beats a sort only while it
+        # stays within a small multiple of the path count.
+        if n_keys * nb <= 32 * self.rows:
+            uniq, pair = _dedup(code, n_keys * nb)
+        else:
+            uniq, pair = np.unique(code, return_inverse=True)
+        return uniq // nb, pair, bank[uniq % nb]
 
     # ---- partial-sum write-back cascade ----
 
@@ -680,8 +699,8 @@ class _ListDecoder:
             if v & 1 == 0:
                 self.store.write("ps", t, beta_u, key, self.rows)
                 return
-            first, new_key, s = self._with_ps(t, key)
-            rep = beta_u[key[first]]
+            keys, new_key, s = self._with_ps(t, key, len(beta_u))
+            rep = beta_u[keys]
             beta_u = np.concatenate([s ^ rep, rep], axis=1)
             key = new_key
             t += 1
@@ -705,7 +724,8 @@ class _ListDecoder:
         parents, kept_value, pm, _peak, _sorts = _block_candidates(
             self.pm, vals, gid, step.kinds, step.parity_leaves,
             self.pc_acc, self.domain, self.w, self.L, self.F)
-        kept_bits = _pattern_tables(1 << self.w)[kept_value]
+        W = 1 << self.w
+        kept_bits = _pattern_tables(W)[kept_value]
         self._apply_parents(parents)
         keep = len(parents)
         self.L_act = keep // self.F
@@ -716,9 +736,8 @@ class _ListDecoder:
                                                             axis=1)
         if step.has_tail:
             self.tail_bits[:keep] = kept_bits
-        uniq_val, key = np.unique(kept_value, return_inverse=True)
-        beta_u = polar_transform(_bits_of(uniq_val, 1 << self.w))
-        self._write_beta(self.w, step.v, beta_u, key)
+        uniq, key = _dedup(kept_value, 1 << W)
+        self._write_beta(self.w, step.v, _pattern_sums(W)[uniq], key)
 
     def _special(self, step):
         vals, gid = self._vecs(step)
@@ -731,7 +750,7 @@ class _ListDecoder:
                     bits[:, offs], axis=1)
         if step.has_tail:
             self.tail_bits[:self.rows] = u_u[gid]
-        self._write_beta(step.t, step.v, beta_u, gid.astype(np.int64))
+        self._write_beta(step.t, step.v, beta_u, gid)
 
     # ---- top level ----
 

@@ -230,6 +230,10 @@ def test_latency_rejects_bad_settings(capsys):
     assert main(["latency", "--set", "decoder.selection=parity_check",
                  "-q"]) == 2
     assert "[decoder] selection" in capsys.readouterr().err
+    for setting in ("leaf_width=3", "stage5_replicas=-4",
+                    "max_special_node=-1"):
+        assert main(["latency", "--set", "decoder." + setting, "-q"]) == 2
+        assert "[decoder]" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

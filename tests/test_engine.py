@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ from polarscl.codes import (
     CrcSpec, build_message, construct_code, polar_transform,
 )
 from polarscl.engine import (
-    FREE, FROZEN, GOOD, BatchResult, decode, decode_batch,
-    llr_memory_summary, profile_for, recover_from_partial_sums,
+    FREE, FROZEN, GOOD, BatchResult, _dedup, _prune_order, decode,
+    decode_batch, llr_memory_summary, profile_for, recover_from_partial_sums,
     split_and_select,
 )
 from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile
@@ -202,13 +203,109 @@ def test_split_and_select_matches_bit_serial_chain():
         assert np.allclose(got["pm"], pm)
 
 
+def test_split_and_select_one_survivor_from_several_paths():
+    """L_target=1 with P entry paths on one free leaf keeps the minimum of
+    all 2P candidates, ties to the lowest parent and then to bit 0 (only a
+    single entry path per frame may prune by comparing its two children)."""
+    rng = np.random.default_rng(11)
+    for dom in (FloatDomain(), QuantDomain(QuantProfile(q_sort=4), 4)):
+        for _ in range(200):
+            P = int(rng.choice([1, 2, 4, 8]))
+            if dom.is_float:
+                pms = rng.integers(0, 3, P).astype(float)
+                vec = rng.integers(-2, 3, (P, 1)).astype(float)
+            else:
+                pms = rng.integers(10, 16, P)      # near the cap of 15
+                vec = rng.integers(-3, 4, (P, 1))
+            got = split_and_select(pms, vec, [FREE], 1, domain=dom)
+            hd = vec[:, 0] < 0
+            cand = np.stack([dom.pm_add(pms, np.where(hd, np.abs(vec[:, 0]), 0)),
+                             dom.pm_add(pms, np.where(hd, 0, np.abs(vec[:, 0])))],
+                            axis=1)
+            best = int(np.argmin(cand.ravel()))
+            assert got["parent"].tolist() == [best // 2]
+            assert got["pattern"].tolist() == [best % 2]
+            assert got["pm"].tolist() == [cand.ravel()[best]]
+            assert got["sorted"] == 1 and got["candidates"] == 2 * P
+
+
+def test_dedup_matches_unique():
+    rng = np.random.default_rng(12)
+    cases = [rng.integers(0, 50, 200), np.full(17, 9), rng.permutation(64),
+             np.array([5])]
+    for keys in cases:
+        size = int(keys.max()) + 1 + int(rng.integers(0, 4))
+        uniq, inv = _dedup(keys, size)
+        want_u, want_inv = np.unique(keys, return_inverse=True)
+        assert np.array_equal(uniq, want_u)
+        assert np.array_equal(inv, want_inv)
+
+
+def packed_prune_order(parent, value, pm, L, frame, pm_cap=None):
+    """The pruning order this engine used before positional pruning: a
+    (frame, metric, parent, pattern) sort, then the kept candidates
+    re-indexed by (parent, pattern)."""
+    F = int(frame[-1]) + 1
+    if pm_cap is not None:
+        pspan = int(parent[-1]) + 1
+        vspan = int(value.max()) + 1
+        assert F * (pm_cap + 1) * pspan * vspan <= (1 << 62)
+        key = ((frame * (pm_cap + 1) + pm) * pspan + parent) * vspan + value
+        perm = np.argsort(key, kind="stable")
+    else:
+        perm = np.lexsort((value, parent, pm, frame))
+    sel = perm.reshape(F, -1)[:, :L].ravel()
+    return sel[np.lexsort((value[sel], parent[sel]))]
+
+
+def test_prune_order_matches_packed_key_sort():
+    """Candidates in frame-major (parent, pattern) order, 2L per frame:
+    one stable sort per frame keeps the same survivors, in the same order,
+    as sorting on (frame, metric, parent, pattern) and re-indexing."""
+    rng = np.random.default_rng(13)
+    cap = 127
+    for _ in range(400):
+        F = int(rng.integers(1, 9))
+        L = int(rng.choice([1, 2, 4, 8, 16, 32]))
+        parent = np.repeat(np.arange(F * L), 2)
+        base = np.sort(rng.integers(0, 64, (F * L, 1)), axis=0)
+        value = (base * 2 + [0, 1]).ravel()
+        frame = parent // L
+        if rng.random() < 0.5:
+            pm = np.minimum(rng.integers(cap - 6, cap + 6, 2 * F * L), cap)
+            want = packed_prune_order(parent, value, pm, L, frame, cap)
+        else:
+            pm = rng.integers(0, 4, 2 * F * L) * 0.5
+            want = packed_prune_order(parent, value, pm, L, frame)
+        assert np.array_equal(_prune_order(pm, L, F), want)
+
+
+def test_sc_tie_rule_at_the_metric_cap():
+    """At L=1 the metric is never normalized, so on a noisy N=1024 frame it
+    saturates at the q_sort cap; from then on a free bit with a negative
+    LLR ties (both children at the cap) and decodes as 0, the bit-serial
+    stable-sort choice. The decisions are pinned to a digest recorded
+    before L=1 pruning became a comparison."""
+    spec = construct_code(1024, 512, method="gaussian_approx", design_param=2.0)
+    rng = np.random.default_rng(3)
+    llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(3)])
+    prof = profile_for("sc")
+    res = decode_batch(llrs, spec, prof)
+    dom = QuantDomain(prof.quant, spec.n)
+    assert res.pm.tolist() == [dom.pm_cap_sort] * 3 == [127] * 3
+    for i in range(3):
+        u, _paths, _pm = reference.scl_reference(dom.channel(llrs[i]), spec, 1,
+                                                 domain=dom)
+        assert np.array_equal(res.u_hat[i], u)
+    digest = hashlib.sha256(np.packbits(res.u_hat).tobytes()).hexdigest()
+    assert digest[:16] == "170598baea13076b"
+
+
 def test_leaf_width_above_the_limit_is_rejected():
     with pytest.raises(ValueError, match="leaf width 16 exceeds the limit of 8"):
         split_and_select(np.zeros(1), np.ones((1, 16)), [FREE] * 16, 4)
-    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
-    prof = profile_for("flexible", leaf_width=16, n_max_log=14)
     with pytest.raises(ValueError, match="leaf width 16 exceeds the limit of 8"):
-        decode(np.ones(64), spec, prof, L=8)
+        profile_for("flexible", leaf_width=16, n_max_log=14)
 
 
 @pytest.mark.parametrize("kind, L, leaf_width, N, crc, want", [

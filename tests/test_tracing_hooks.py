@@ -40,3 +40,21 @@ def test_tracer_installs_records_and_unwraps():
     assert "engine.store.read" in names
     assert tracer.counts["engine.store.unique_rows"] > 0
     assert pl.engine.PathStore.__dict__["read"] is read
+
+
+def test_single_path_reads_still_pass_through_the_store():
+    """At L=1 every LLR map is the identity, and the store returns its
+    banks without deduplicating; the reads must still go through
+    ``PathStore.read``, where the tracer counts them."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, pl)
+        spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+        llrs = np.random.default_rng(1).normal(1.0, 1.0, (3, 64))
+        pl.engine.decode_batch(llrs, spec, "sc", L=1)
+    finally:
+        tracer.unwrap()
+    assert tracer.counts["engine.store.read.calls"] > 0
+    assert tracer.counts["engine.store.unique_rows"] == \
+        tracer.counts["engine.store.path_rows"] > 0
