@@ -9,14 +9,12 @@ simulation harness (channel).
 
 from .codes import (CodeSpec, CrcSpec, ParityCheckSpec, construct_code,
                     good_bit_set, polar_transform, encode, extract_info,
-                    extract_nonfrozen, crc_attach, crc_check,
-                    save_code_spec, load_code_spec)
-from .qarith import (QLLR, PathMetric, QuantProfile, FloatDomain, QuantDomain,
-                     f_min_sum, g_combine, pm_update, normalize_pms,
+                    crc_attach, crc_check, save_code_spec, load_code_spec)
+from .qarith import (QuantProfile, FloatDomain, QuantDomain,
                      quantize_channel_llr)
 from .engine import (DecoderProfile, DecodeResult, profile_for, decode,
-                     first_nonfrozen_skip, recover_from_partial_sums,
-                     schedule_trace, split_and_select)
+                     recover_from_partial_sums, schedule_trace,
+                     split_and_select)
 from .cycles import (ArchParams, CycleReport, latency, double_package,
                      throughput, calibrate_sort_latency)
 from .channel import (ChannelConfig, FERPoint, transmit, run_fer,

@@ -255,7 +255,7 @@ def cmd_selftest(args):
     from .codes import CrcSpec, build_message, construct_code, crc_check, \
         crc_check_rows, polar_transform
     from .engine import profile_for
-    from .qarith import f_min_sum, g_combine, llr_max
+    from .qarith import QuantDomain, QuantProfile, llr_max
 
     rng = np.random.default_rng(11)
     failures = 0
@@ -265,19 +265,19 @@ def cmd_selftest(args):
         print("selftest: %-34s %s" % (name, "ok" if ok else "FAIL"))
         failures += 0 if ok else 1
 
-    # min-sum / combine kernels against exact arithmetic + clamp
+    # the decoder's f / g kernels against exact arithmetic + clamp
     hi = llr_max(6)
+    dom = QuantDomain(QuantProfile(q_i=6), 1)      # stage 0 is 6 bits wide
     a, b = np.meshgrid(np.arange(-hi, hi + 1), np.arange(-hi, hi + 1))
     a, b = a.astype(np.int32), b.astype(np.int32)
     want = np.clip(np.sign(a) * np.sign(b) * np.minimum(abs(a), abs(b)),
                    -hi, hi)
-    check("f_min_sum exhaustive Q=6",
-          np.array_equal(f_min_sum(a, b, 6), want))
+    check("f exhaustive Q=6", np.array_equal(dom.f(a, b, 0), want))
     ok = True
     for s in (0, 1):
         want = np.clip(a + (1 - 2 * s) * b, -hi, hi)
-        ok = ok and np.array_equal(g_combine(a, b, s, 6), want)
-    check("g_combine exhaustive Q=6", ok)
+        ok = ok and np.array_equal(dom.g(a, b, s, 0), want)
+    check("g exhaustive Q=6", ok)
 
     # noiseless round trip, all three decoder profiles
     ok = True

@@ -24,10 +24,9 @@ CRC_POLYNOMIALS = {
 class CrcSpec:
     """CRC attachment: ``width`` check bits appended to the payload.
 
-    polynomial is an integer whose bits are the polynomial coefficients
-    MSB-first, without the implicit leading term; it must have degree
-    exactly ``width`` (bit width-1 set ... well, value < 2**width, and the
-    implicit x^width term supplies the degree).
+    polynomial is an integer whose bits are the coefficients below x^width,
+    MSB-first; the implicit x^width term supplies the degree, so the value
+    is below 2**width.
     """
 
     def __init__(self, width, polynomial=None, init=0):
@@ -47,7 +46,6 @@ class CrcSpec:
         self.width = int(width)
         self.polynomial = int(polynomial)
         self.init = int(init)
-        self._table = None
 
     def __eq__(self, other):
         return (isinstance(other, CrcSpec)
@@ -174,9 +172,6 @@ class CodeSpec:
     def rate(self):
         """Channel rate k/N (CRC and parity bits count as transmitted info)."""
         return self.k / self.N
-
-    def payload_rate(self):
-        return self.payload_len / self.N
 
     def __repr__(self):
         return "CodeSpec(N=%d, k=%d, method=%r, crc=%r, pc=%s, good=%d)" % (
@@ -367,15 +362,18 @@ def polar_transform(bits):
 def crc_attach(bits, crc):
     """Append crc.width check bits (remainder, MSB first) to a bit vector."""
     bits = np.asarray(bits, dtype=np.uint8)
-    rem = _crc_remainder(bits, crc)
     out = np.empty(len(bits) + crc.width, dtype=np.uint8)
     out[:len(bits)] = bits
-    out[len(bits):] = rem
+    out[len(bits):] = _crc_remainders(bits[None], crc)[0]
     return out
 
 
 def crc_check(bits_with_crc, crc):
-    """True iff the trailing crc.width bits match the payload's CRC."""
+    """True iff the trailing crc.width bits match the payload's CRC.
+
+    Runs the bit-serial register, so it stays an independent reference for
+    the matrix form that crc_attach and crc_check_rows use.
+    """
     bits = np.asarray(bits_with_crc, dtype=np.uint8)
     if len(bits) < crc.width:
         raise ValueError("input shorter than the CRC itself")
@@ -391,21 +389,32 @@ def _crc_affine(length, crc):
 
     The remainder of a fixed-length message is affine in its bits (the
     init seed supplies the constant part), so checking many candidate
-    sequences reduces to one bit-matrix product.
+    sequences reduces to one bit-matrix product. Message bit i stands for
+    x^(width+length-1-i), so row i is that power mod the generator: one
+    LFSR walk from the last row up gives every row, one shift-xor each.
+    The init seed is XORed into the leading message bits, so r0 is the
+    XOR of the rows its bits select.
     """
     key = (length, crc.width, crc.polynomial, crc.init)
     hit = _CRC_AFFINE_CACHE.get(key)
     if hit is None:
-        r0 = _crc_remainder(np.zeros(length, dtype=np.uint8), crc)
-        A = np.empty((length, crc.width), dtype=np.float64)
-        e = np.zeros(length, dtype=np.uint8)
-        for i in range(length):
-            e[i] = 1
-            A[i] = _crc_remainder(e, crc) ^ r0
-            e[i] = 0
-        hit = (A, r0)
+        w, poly, mask = crc.width, crc.polynomial, (1 << crc.width) - 1
+        regs = np.empty(length, dtype=np.int64)
+        reg = poly                                  # x^width mod g
+        for i in range(length - 1, -1, -1):
+            regs[i] = reg
+            reg = ((reg << 1) ^ (poly if reg >> (w - 1) else 0)) & mask
+        seed = _msb_bits(crc.init, w)[:length].astype(bool)
+        r0 = np.bitwise_xor.reduce(regs[:len(seed)][seed])
+        hit = (_msb_bits(regs, w).astype(np.float64), _msb_bits(r0, w))
         _CRC_AFFINE_CACHE[key] = hit
     return hit
+
+
+def _crc_remainders(rows, crc):
+    """CRC remainders (count, width) of the rows of a (count, length) array."""
+    A, r0 = _crc_affine(rows.shape[1], crc)
+    return ((rows.astype(np.float64) @ A).astype(np.int64) & 1) ^ r0
 
 
 def crc_check_rows(rows, crc):
@@ -414,56 +423,30 @@ def crc_check_rows(rows, crc):
     body = rows.shape[1] - crc.width
     if body < 0:
         raise ValueError("input shorter than the CRC itself")
-    A, r0 = _crc_affine(body, crc)
-    rem = (rows[:, :body].astype(np.float64) @ A).astype(np.int64) & 1
-    rem ^= r0
-    return np.all(rem == rows[:, body:], axis=1)
-
-
-def _crc_table(crc):
-    if crc._table is None:
-        w, poly = crc.width, crc.polynomial
-        mask = (1 << w) - 1
-        top = 1 << (w - 1)
-        table = np.empty(256, dtype=np.uint64)
-        for byte in range(256):
-            reg = byte << (w - 8)
-            for _ in range(8):
-                reg = ((reg << 1) ^ poly) if reg & top else (reg << 1)
-            table[byte] = reg & mask
-        crc._table = table
-    return crc._table
+    return np.all(_crc_remainders(rows[:, :body], crc) == rows[:, body:], axis=1)
 
 
 def _crc_remainder(bits, crc):
-    """Remainder of bits * x^width mod the generator, register seeded by init."""
+    """Remainder of bits * x^width mod the generator, register seeded by init.
+
+    Bit-serial long division: the reference for the matrix form.
+    """
     w = crc.width
     msg = np.array(bits, dtype=np.uint8, copy=True)
-    if crc.init:
-        init_bits = (crc.init >> np.arange(w - 1, -1, -1)) & 1
-        lead = min(w, len(msg))
-        msg[:lead] ^= init_bits[:lead].astype(np.uint8)
-    if w >= 8:
-        # Byte-table long division; leading zero pad is harmless once the
-        # init seed has been folded into the message bits.
-        pad = (-len(msg)) % 8
-        data = np.packbits(np.concatenate([np.zeros(pad, np.uint8), msg]))
-        table = _crc_table(crc)
-        mask = (1 << w) - 1
-        reg = 0
-        for byte in data.tolist():
-            reg = ((reg << 8) & mask) ^ int(table[((reg >> (w - 8)) ^ byte) & 0xFF])
-        rem = reg
-    else:
-        reg = 0
-        top = 1 << (w - 1)
-        mask = (1 << w) - 1
-        for b in msg.tolist():
-            reg ^= b << (w - 1)
-            reg = ((reg << 1) ^ crc.polynomial) if reg & top else (reg << 1)
-            reg &= mask
-        rem = reg
-    return ((rem >> np.arange(w - 1, -1, -1)) & 1).astype(np.uint8)
+    lead = min(w, len(msg))
+    msg[:lead] ^= _msb_bits(crc.init, w)[:lead]
+    reg, top, mask = 0, 1 << (w - 1), (1 << w) - 1
+    for b in msg.tolist():
+        reg ^= b << (w - 1)
+        reg = (((reg << 1) ^ crc.polynomial) if reg & top else reg << 1) & mask
+    return _msb_bits(reg, w)
+
+
+def _msb_bits(value, width):
+    """The low ``width`` bits of an integer, MSB first (a new last axis for
+    an integer array)."""
+    shifts = np.arange(width - 1, -1, -1)
+    return ((np.asarray(value)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 def build_message(payload, spec):
@@ -495,12 +478,6 @@ def encode(payload, spec):
     return polar_transform(build_message(payload, spec))
 
 
-def extract_nonfrozen(u, spec):
-    """All k non-frozen bits of a message vector, in index order."""
-    u = np.asarray(u, dtype=np.uint8)
-    return u[spec.nonfrozen_positions]
-
-
 def extract_info(u, spec):
     """Payload bits of a message vector (CRC and parity positions excluded)."""
     u = np.asarray(u, dtype=np.uint8)
@@ -508,12 +485,14 @@ def extract_info(u, spec):
 
 
 def crc_sequence(u, spec):
-    """The payload+CRC bit sequence a CRC check runs over, in index order."""
+    """The payload+CRC bit sequence a CRC check runs over, in index order.
+
+    Leading axes are rows: a (count, N) array gives (count, length).
+    """
     u = np.asarray(u, dtype=np.uint8)
-    keep = np.ones(spec.N, dtype=bool)
+    keep = ~spec.frozen_mask
     keep[spec.parity_positions] = False
-    keep &= ~spec.frozen_mask
-    return u[keep]
+    return u[..., keep]
 
 
 # -- code spec files ----------------------------------------------------------

@@ -3,7 +3,7 @@
 Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
 
     [code]
-    spec_file = code.spec     # load a saved spec; other code keys then ignored
+    spec_file = code.spec     # load a saved spec; other [code] keys must stay default
     N = 1024
     k = 512
     method = gaussian_approx  # bhattacharyya | gaussian_approx | external_sequence
@@ -28,12 +28,10 @@ Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
     L = 8
     arithmetic = quantized    # quantized | float
     leaf_width = 4
-    multi_bit = true          # false forces leaf_width 1
     storage_stride = 3
     selection = crc_aided     # best_pm | crc_aided (lowest metric among CRC passes)
     max_special_node = 32     # 0 disables special-node shortcuts
     skip_frozen_prefix = true
-    good_bits = true          # false ignores the code's good-bit mask
     stage5_replicas = 4
 
     [arch]
@@ -153,12 +151,10 @@ _SCHEMA = {
         "l": (_int, None),
         "arithmetic": (_choice("quantized", "float"), "quantized"),
         "leaf_width": (_int, None),
-        "multi_bit": (_bool, True),
         "storage_stride": (_int, None),
         "selection": (_choice(*SELECTIONS), None),
         "max_special_node": (_int, None),
         "skip_frozen_prefix": (_bool, None),
-        "good_bits": (_bool, True),
         "stage5_replicas": (_int, None),
     },
     "arch": {
@@ -229,6 +225,14 @@ class RunConfig:
         """CodeSpec per the [code] section (or loaded from spec_file)."""
         c = self.sections["code"]
         if c["spec_file"]:
+            # Compared with the defaults, not "was set", so that a
+            # serialized effective config (every key printed) reloads.
+            clash = sorted(k for k, (_, d) in _SCHEMA["code"].items()
+                           if k != "spec_file" and c[k] != d)
+            if clash:
+                raise ConfigError("[code] spec_file conflicts with %s; a "
+                                  "loaded spec takes no other [code] keys"
+                                  % ", ".join(clash))
             return load_code_spec(c["spec_file"])
         crc = None
         try:
@@ -248,12 +252,11 @@ class RunConfig:
                                   "sequence_file")
             with open(c["sequence_file"]) as f:
                 seq = [int(tok) for tok in f.read().split()]
-        gt = c["good_threshold"] if self.sections["decoder"]["good_bits"] \
-            else 0.0
         try:
             return construct_code(c["n"], c["k"], method=c["method"],
                                   design_param=c["design_param"], crc=crc,
-                                  pc=pc, good_threshold=gt, sequence=seq)
+                                  pc=pc, good_threshold=c["good_threshold"],
+                                  sequence=seq)
         except ValueError as e:
             raise ConfigError("[code] %s" % e)
 
@@ -270,8 +273,6 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError("[quant] %s" % e)
         over = {k: d[k] for k in _PROFILE_KEYS if d[k] is not None}
-        if not d["multi_bit"]:
-            over["leaf_width"] = 1
         try:
             return dataclasses.replace(base, quant=quant, **over)
         except ValueError as e:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import crc_check_rows, polar_transform
+from .codes import crc_check_rows, crc_sequence, polar_transform
 from .cycles import DecodeTrace
 from .qarith import FloatDomain, QuantDomain, QuantProfile
 
@@ -245,39 +245,15 @@ class Step:
     chain: tuple = ()        # (t, v, stored, fresh) stage computations, top down
 
 
-def first_nonfrozen_skip(frozen_mask, leaf_width=1):
-    """Largest aligned all-frozen subtree at the head of the schedule.
-
-    Returns (stage, leaf count), or (None, 0) when the first leaf is not
-    frozen or the skippable subtree is narrower than one leaf block.
-    """
-    frozen = np.asarray(getattr(frozen_mask, "frozen_mask", frozen_mask), dtype=bool)
-    if not frozen[0]:
-        return None, 0
-    run = len(frozen) if frozen.all() else int(np.argmax(~frozen))
-    n = int(len(frozen)).bit_length() - 1
-    t = min(run.bit_length() - 1, n - 1)
-    w = int(leaf_width).bit_length() - 1
-    if t < w:
-        return None, 0
-    return t, 1 << t
-
-
 def _build_plan(spec, profile):
     n, N = spec.n, spec.N
-    lw = int(profile.leaf_width)
-    w = min(lw.bit_length() - 1, n)
+    w = min(int(profile.leaf_width).bit_length() - 1, n)
     kinds = np.full(N, FREE, dtype=np.uint8)
     kinds[spec.frozen_mask] = FROZEN
     kinds[spec.good_mask] = GOOD
     cons = list(spec.pc.constraints) if spec.pc is not None else []
     for p, _src in cons:
         kinds[p] = PARITY
-    prefix = None
-    if profile.skip_frozen_prefix and spec.frozen_mask[0]:
-        t, _leaves = first_nonfrozen_skip(spec.frozen_mask, lw)
-        if t is not None:
-            prefix = (t, 0)
 
     def span_updates(start, width, with_parity_leaves):
         ups, leaves = [], {}
@@ -320,10 +296,11 @@ def _build_plan(spec, profile):
         seg = kinds[start:start + width]
         tail = start + width == N
         special = width <= profile.max_special_node and t >= w
-        if prefix == (t, v):
-            add(Step("rate0", t, v, [], tail, is_prefix=True))
-        elif special and (seg == FROZEN).all():
-            add(Step("rate0", t, v, [], tail))
+        # The walk meets (n, 0), (n-1, 0), ... first, so the first all-frozen
+        # head node is the largest aligned all-frozen prefix of the schedule.
+        head = v == 0 and t >= w and profile.skip_frozen_prefix
+        if (special or head) and (seg == FROZEN).all():
+            add(Step("rate0", t, v, [], tail, is_prefix=head))
         elif special and (seg == GOOD).all():
             add(Step("rate1", t, v, span_updates(start, width, False)[0], tail))
         elif t == w:
@@ -772,9 +749,7 @@ class _ListDecoder:
             self.tail_bits[:rows])
         crc_ok = None
         if self.spec.crc is not None:
-            keep = ~self.spec.frozen_mask.copy()
-            keep[self.spec.parity_positions] = False
-            crc_ok = crc_check_rows(U[:, keep], self.spec.crc)
+            crc_ok = crc_check_rows(crc_sequence(U, self.spec), self.spec.crc)
         # Per-frame winner: lowest metric, ties to the lowest path index;
         # CRC-aided selection restricts to passing paths when any exist.
         pmF = self.pm.reshape(F, c)

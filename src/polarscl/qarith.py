@@ -1,10 +1,17 @@
 """Saturating sign-magnitude LLR arithmetic and path-metric kernels.
 
-Values are carried as plain signed integers (or numpy integer arrays): a
-sign-magnitude word of width Q holds magnitudes 0..2^(Q-1)-1, negative zero
-is normalized to +0, and saturation clips symmetrically at +/-(2^(Q-1)-1).
-All kernels also accept floats, in which case no clipping is applied; this
-is the reference floating-point domain.
+The arithmetic lives in two domains with the same methods, and they are
+its only implementation: ``QuantDomain`` (fixed point) and ``FloatDomain``
+(the unclipped reference). Each has one check-node kernel ``f``, one
+variable-node kernel ``g``, one metric add (``pm_add``, folded over a
+block by ``pm_fold``) and one normalization (``pm_normalize``); the
+engine and the reference decoders both call them.
+
+In the fixed-point domain values are plain signed integers (or numpy
+integer arrays): a sign-magnitude word of width Q holds magnitudes
+0..2^(Q-1)-1, negative zero is +0, and saturation clips symmetrically at
++/-(2^(Q-1)-1). Path metrics saturate at 2^q_sort - 1 while sorting and at
+2^q_pm - 1 once normalized.
 """
 
 from dataclasses import dataclass
@@ -15,47 +22,6 @@ import numpy as np
 def llr_max(width):
     """Largest representable magnitude of a sign-magnitude word."""
     return (1 << (width - 1)) - 1
-
-
-@dataclass(frozen=True)
-class QLLR:
-    """A validated sign-magnitude LLR word (width 6 or 7).
-
-    The kernels below operate on the embedded integer ``value``; this
-    container exists to state and check the representation invariants.
-    """
-    sign: int
-    magnitude: int
-    width: int
-
-    def __post_init__(self):
-        if self.width not in (6, 7):
-            raise ValueError("LLR width must be 6 or 7")
-        if not (0 <= self.magnitude <= llr_max(self.width)):
-            raise ValueError("magnitude out of range for width %d" % self.width)
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.magnitude == 0 and self.sign == -1:
-            object.__setattr__(self, "sign", 1)  # normalize negative zero
-
-    @property
-    def value(self):
-        return self.sign * self.magnitude
-
-    @classmethod
-    def from_value(cls, value, width):
-        return cls(1 if value >= 0 else -1, abs(int(value)), width)
-
-
-@dataclass(frozen=True)
-class PathMetric:
-    """A non-negative path metric word (sort width Q_sort, storage Q_PM)."""
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if not (0 <= self.value < (1 << self.width)):
-            raise ValueError("path metric out of range for width %d" % self.width)
 
 
 @dataclass(frozen=True)
@@ -92,78 +58,6 @@ class QuantProfile:
         return self.q_i
 
 
-def _is_float(*arrays):
-    return any(np.issubdtype(np.asarray(a).dtype, np.floating) for a in arrays)
-
-
-def saturate_llr(x, width):
-    """Clip to the representable range of a sign-magnitude word.
-
-    Widening (e.g. 6 -> 7 bit) is a value-preserving zero extension, so
-    only narrowing ever changes a value.
-    """
-    m = llr_max(width)
-    return np.clip(x, -m, m)
-
-
-def f_min_sum(a, b, width=None):
-    """Check-node kernel: sign(a)*sign(b)*min(|a|,|b|).
-
-    Integer inputs model the sign-magnitude datapath (a zero either side
-    forces +0); float inputs give the reference unclipped kernel. width,
-    when given, saturates the result to that word size.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    if width is not None:
-        out = saturate_llr(out, width)
-    return out if out.ndim else out[()]
-
-
-def g_combine(a, b, s, width=None):
-    """Variable-node kernel: a + (-1)^s * b, computed exactly then saturated."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    s = np.asarray(s)
-    out = a + np.where(s.astype(bool), -b, b)
-    if width is not None:
-        out = saturate_llr(out, width)
-    return out if out.ndim else out[()]
-
-
-def hard_decision(llr):
-    """0 for llr >= 0, 1 otherwise (an LLR of zero decides 0)."""
-    out = (np.asarray(llr) < 0).astype(np.uint8)
-    return out if out.ndim else out[()]
-
-
-def pm_update(pm, llr, decision, q_sort=None):
-    """Penalize a decision against the hard decision of its LLR.
-
-    The metric is unchanged when decision == hard_decision(llr) and grows
-    by |llr| otherwise, saturating at 2^q_sort - 1 when q_sort is given.
-    """
-    pm = np.asarray(pm)
-    pen = np.abs(np.asarray(llr)) * (np.asarray(decision) != hard_decision(llr))
-    out = pm + pen
-    if q_sort is not None:
-        out = np.minimum(out, (1 << q_sort) - 1)
-    return out if out.ndim else out[()]
-
-
-def normalize_pms(pms, q_pm=None):
-    """Subtract the minimum metric; saturate at 2^q_pm - 1 when given.
-
-    Keeps the argmin set intact and leaves at least one metric at zero.
-    """
-    pms = np.asarray(pms)
-    out = pms - pms.min()
-    if q_pm is not None:
-        out = np.minimum(out, (1 << q_pm) - 1)
-    return out
-
-
 def quantize_channel_llr(x, q_c=6, scale=1.0):
     """Quantize float LLRs: round to nearest (ties away from zero), saturate.
 
@@ -172,7 +66,8 @@ def quantize_channel_llr(x, q_c=6, scale=1.0):
     """
     x = np.asarray(x, dtype=float)
     q = np.sign(x) * np.floor(np.abs(x) / scale + 0.5)
-    out = saturate_llr(q, q_c).astype(np.int32)
+    m = llr_max(q_c)
+    out = np.clip(q, -m, m).astype(np.int32)
     return out if out.ndim else out[()]
 
 

@@ -4,9 +4,10 @@ Everything here recomputes from first principles: leaf LLRs are derived
 recursively from the channel vector on every bit, decisions are stored
 directly, and no bank, address map, multi-bit block, or partial-sum
 cascade exists. The main engine must agree with these bit for bit under
-the same arithmetic domain; any shared bug would have to be a shared
-misreading of the f/g/metric formulas themselves, which the exhaustive
-kernel tests guard separately.
+the same arithmetic domain. Both call the same domain methods (f, g and
+the metric steps of ``qarith``), so a shared bug would have to live in
+those methods, which the exhaustive tests in ``tests/test_qarith.py``
+check against unbounded integer arithmetic.
 """
 
 import numpy as np

@@ -223,7 +223,7 @@ def test_latency_reports_llr_storage(capsys):
     assert stride3["llr_per_path_entries"] == "73"
 
 
-def test_latency_rejects_bad_settings(capsys):
+def test_latency_rejects_bad_settings(tmp_path, capsys):
     assert main(["latency", "-L", "3", "-q"]) == 1
     assert "error: list size must be a power of two <= 8" \
         in capsys.readouterr().err
@@ -234,6 +234,15 @@ def test_latency_rejects_bad_settings(capsys):
                     "max_special_node=-1"):
         assert main(["latency", "--set", "decoder." + setting, "-q"]) == 2
         assert "[decoder]" in capsys.readouterr().err
+    for setting in ("multi_bit=false", "good_bits=false"):
+        assert main(["latency", "--set", "decoder." + setting, "-q"]) == 2
+        assert "unknown key" in capsys.readouterr().err
+    spec_path = tmp_path / "code.spec"
+    assert main(["construct", "--N", "64", "--k", "32", "-o",
+                 str(spec_path), "-q"]) == 0
+    assert main(["latency", "--spec", str(spec_path), "--set", "code.n=128",
+                 "-q"]) == 2
+    assert "[code] spec_file conflicts with n" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

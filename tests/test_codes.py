@@ -154,7 +154,7 @@ def test_crc_remainder_against_long_division():
     for width in (8, 11, 16, 24):
         for init in (0, 0x5A):
             crc = CrcSpec(width, init=init)
-            for length in (1, 7, 24, 53):
+            for length in (1, 7, 24, 53, 2024):
                 bits = rng.integers(0, 2, length).astype(np.uint8)
                 want = crc_remainder_slow(bits, crc)
                 got = crc_attach(bits, crc)[length:]

@@ -43,8 +43,8 @@ def test_bad_values_name_section_and_key():
         cfg.set("campaign", "max_frames", "lots")
     with pytest.raises(ConfigError, match="expected one of"):
         cfg.set("decoder", "profile", "turbo")
-    with pytest.raises(ConfigError, match=r"\[decoder\] multi_bit"):
-        cfg.set("decoder", "multi_bit", "maybe")
+    with pytest.raises(ConfigError, match=r"\[decoder\] skip_frozen_prefix"):
+        cfg.set("decoder", "skip_frozen_prefix", "maybe")
     # hex and decimal integers both work
     cfg.set("code", "crc_poly", "0x864cfb")
     assert cfg.get("code", "crc_poly") == 0x864CFB
@@ -158,9 +158,46 @@ def test_good_bits_switch_masks_the_good_set():
     on.set("code", "good_threshold", "0.5")
     assert on.build_spec().good_mask.sum() > 0
     off = RunConfig()
-    off.set("code", "good_threshold", "0.5")
-    off.set("decoder", "good_bits", "false")
+    off.set("code", "good_threshold", "0")
     assert off.build_spec().good_mask.sum() == 0
+    # good_threshold = 0 is the one switch; the old duplicate is gone
+    with pytest.raises(ConfigError, match=r"'good_bits'.*\[decoder\]"):
+        off.set("decoder", "good_bits", "false")
+
+
+def _saved_spec(tmp_path):
+    from polarscl.codes import save_code_spec
+    base = RunConfig()
+    base.set("code", "n", "256")
+    base.set("code", "k", "128")
+    path = tmp_path / "code.spec"
+    save_code_spec(base.build_spec(), str(path))
+    return path
+
+
+def test_spec_file_rejects_other_code_keys(tmp_path):
+    path = _saved_spec(tmp_path)
+    cfg = load_config(overrides=["code.spec_file=%s" % path, "code.k=100",
+                                 "code.good_threshold=0.5",
+                                 "decoder.l=4"])
+    with pytest.raises(ConfigError,
+                       match=r"\[code\] spec_file conflicts with "
+                             r"good_threshold, k"):
+        cfg.build_spec()
+    # a key set to its default value is no conflict
+    ok = load_config(overrides=["code.spec_file=%s" % path, "code.k=512",
+                                "code.crc_width=24"])
+    assert ok.build_spec().k == 128
+
+
+def test_spec_file_effective_text_reloads(tmp_path):
+    path = _saved_spec(tmp_path)
+    cfg = load_config(overrides=["code.spec_file=%s" % path])
+    echo = tmp_path / "echo.ini"
+    echo.write_text(cfg.effective_text())
+    again = load_config(str(echo))
+    assert again.config_hash() == cfg.config_hash()
+    assert again.build_spec().k == 128
 
 
 def test_build_profile_overrides():
@@ -175,9 +212,11 @@ def test_build_profile_overrides():
     assert prof.selection == "best_pm"
     assert prof.quant.q_c == 5
 
-    # multi_bit=false forces bit-serial leaves regardless of leaf_width
-    cfg.set("decoder", "multi_bit", "false")
+    # leaf_width = 1 is the one switch to bit-serial leaves
+    cfg.set("decoder", "leaf_width", "1")
     assert cfg.build_profile().leaf_width == 1
+    with pytest.raises(ConfigError, match=r"'multi_bit'.*\[decoder\]"):
+        cfg.set("decoder", "multi_bit", "false")
 
     bad = RunConfig()
     bad.set("quant", "q_pm", "3")

@@ -1,14 +1,11 @@
-"""Exhaustive checks of the fixed-point kernels against plain-integer
-oracles computed with unbounded arithmetic followed by one clamp."""
+"""Exhaustive checks of the decoder's arithmetic -- the methods of
+``QuantDomain`` and ``FloatDomain`` -- against plain-integer oracles
+computed with unbounded arithmetic followed by one clamp."""
 
 import numpy as np
 import pytest
 
-from polarscl.qarith import (
-    QLLR, FloatDomain, PathMetric, QuantDomain, QuantProfile, f_min_sum,
-    g_combine, hard_decision, llr_max, normalize_pms, pm_update,
-    quantize_channel_llr, saturate_llr,
-)
+from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile, llr_max
 
 
 def sign(x):
@@ -22,125 +19,148 @@ def full_grid(width):
     return a.ravel(), b.ravel()
 
 
+def domain(q_i=6, q_sort=7, q_pm=6):
+    """A fixed-point domain whose stage 0 is q_i bits wide."""
+    return QuantDomain(QuantProfile(q_i=q_i, q_sort=q_sort, q_pm=q_pm), 1)
+
+
+def metric_update(dom, pm, llr, decision):
+    """The engine's metric step: add |llr| when the decision disagrees
+    with the LLR's hard decision."""
+    llr = np.asarray(llr)
+    return dom.pm_add(pm, np.where(decision != dom.hd(llr), dom.pen(llr), 0))
+
+
 @pytest.mark.parametrize("width", [6, 7])
 def test_f_min_sum_exhaustive(width):
     a, b = full_grid(width)
-    got = f_min_sum(a, b, width)
+    got = domain(q_i=width).f(a, b, 0)
+    got_float = FloatDomain.f(a.astype(float), b.astype(float), 0)
     m = llr_max(width)
     for i in range(len(a)):
         x, y = int(a[i]), int(b[i])
         want = sign(x) * sign(y) * min(abs(x), abs(y))
-        want = max(-m, min(m, want))
-        assert got[i] == want, (x, y)
+        assert got_float[i] == want, (x, y)
+        assert got[i] == max(-m, min(m, want)), (x, y)
 
 
 @pytest.mark.parametrize("width", [6, 7])
 def test_g_combine_exhaustive(width):
     a, b = full_grid(width)
     m = llr_max(width)
+    dom = domain(q_i=width)
     for s in (0, 1):
-        got = g_combine(a, b, s, width)
+        bits = np.full(len(a), s, dtype=np.uint8)
+        got = dom.g(a, b, bits, 0)
+        got_float = FloatDomain.g(a.astype(float), b.astype(float), bits, 0)
         for i in range(len(a)):
             x, y = int(a[i]), int(b[i])
             want = x + (y if s == 0 else -y)
-            want = max(-m, min(m, want))
-            assert got[i] == want, (x, y, s)
+            assert got_float[i] == want, (x, y, s)
+            assert got[i] == max(-m, min(m, want)), (x, y, s)
 
 
 @pytest.mark.parametrize("q_llr,q_sort", [(6, 6), (6, 7), (7, 7)])
 def test_pm_update_exhaustive(q_llr, q_sort):
     m = llr_max(q_llr)
     cap = (1 << q_sort) - 1
+    dom = domain(q_i=q_llr, q_sort=q_sort)
     llr = np.arange(-m, m + 1, dtype=np.int32)
-    pm = np.arange(0, cap + 1, dtype=np.int32)
+    pm = np.arange(0, cap + 1, dtype=np.int64)
     L, P = np.meshgrid(llr, pm, indexing="ij")
     for dec in (0, 1):
-        got = pm_update(P, L, dec, q_sort=q_sort)
+        got = metric_update(dom, P, L, dec)
         flat_l, flat_p, flat_g = L.ravel(), P.ravel(), got.ravel()
         for i in range(len(flat_l)):
             x, p = int(flat_l[i]), int(flat_p[i])
             hd = 1 if x < 0 else 0
             want = p + (abs(x) if dec != hd else 0)
             assert flat_g[i] == min(want, cap), (x, p, dec)
+    # folding a block of penalties equals the per-bit saturating chain
+    rng = np.random.default_rng(q_llr * q_sort)
+    start = rng.integers(0, cap + 1, 500)
+    pens = rng.integers(0, m + 1, (500, 4))
+    chain = start
+    for j in range(pens.shape[1]):
+        chain = dom.pm_add(chain, pens[:, j])
+    assert np.array_equal(dom.pm_fold(start, pens), chain)
 
 
 def test_pm_update_no_penalty_on_agreement():
-    assert pm_update(5, -3, 1) == 5
-    assert pm_update(5, -3, 0) == 8
-    assert pm_update(5, 3, 0) == 5
-    assert pm_update(5, 0, 0) == 5  # zero LLR decides 0
-    assert pm_update(5, 0, 1) == 5  # ...and penalizes by |0|
+    dom = domain()
+    assert metric_update(dom, 5, -3, 1) == 5
+    assert metric_update(dom, 5, -3, 0) == 8
+    assert metric_update(dom, 5, 3, 0) == 5
+    assert metric_update(dom, 5, 0, 0) == 5  # zero LLR decides 0
+    assert metric_update(dom, 5, 0, 1) == 5  # ...and penalizes by |0|
+    assert metric_update(FloatDomain, 5.0, -3.5, 0) == 8.5
 
 
 @pytest.mark.parametrize("q_pm", [6, 7])
 def test_normalize_pms_exhaustive_pairs(q_pm):
     cap = (1 << q_pm) - 1
-    vals = range(0, (1 << q_pm) + 40, 7)  # into the saturating range
-    for x in vals:
-        for y in vals:
-            got = normalize_pms(np.array([x, y]), q_pm)
-            lo = min(x, y)
-            assert got[0] == min(x - lo, cap)
-            assert got[1] == min(y - lo, cap)
+    vals = np.arange(0, (1 << q_pm) + 40, 7)  # into the saturating range
+    x, y = (v.ravel() for v in np.meshgrid(vals, vals, indexing="ij"))
+    # each row of a (pairs, 2) batch normalizes against its own minimum
+    got = domain(q_pm=q_pm).pm_normalize(np.stack([x, y], axis=1))
+    lo = np.minimum(x, y)
+    for i in range(len(x)):
+        assert got[i, 0] == min(x[i] - lo[i], cap)
+        assert got[i, 1] == min(y[i] - lo[i], cap)
 
 
 def test_normalize_keeps_argmin_and_zero():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        pms = rng.integers(0, 300, 8)
-        out = normalize_pms(pms, 6)
-        assert out.min() == 0
-        assert np.argmin(out) == np.argmin(pms)
+    pms = rng.integers(0, 300, (200, 8))
+    out = domain(q_pm=6).pm_normalize(pms)
+    assert (out.min(axis=1) == 0).all()
+    assert np.array_equal(np.argmin(out, axis=1), np.argmin(pms, axis=1))
+    for row, src in zip(out, pms):
         # order among unsaturated values is preserved
-        keep = out < 63
-        assert np.array_equal(np.argsort(out[keep], kind="stable"),
-                              np.argsort(pms[keep], kind="stable"))
+        keep = row < 63
+        assert np.array_equal(np.argsort(row[keep], kind="stable"),
+                              np.argsort(src[keep], kind="stable"))
+    # in float, normalization is the identity
+    assert FloatDomain.pm_normalize(pms) is pms
 
 
 def test_saturate_llr_range_and_idempotence():
     m6 = llr_max(6)
     assert m6 == 31
     assert llr_max(7) == 63
+    # g with a zero second operand is the stage's saturation alone
+    d6, d7 = domain(q_i=6), domain(q_i=7)
     x = np.array([-100, -32, -31, 0, 31, 32, 100])
-    s = saturate_llr(x, 6)
+    s = d6.g(x, 0, 0, 0)
     assert np.array_equal(s, [-31, -31, -31, 0, 31, 31, 31])
-    assert np.array_equal(saturate_llr(s, 6), s)
+    assert np.array_equal(d6.g(s, 0, 0, 0), s)
+    assert np.array_equal(d6.f(x, 100, 0), s)
     # widening never changes a value
-    assert np.array_equal(saturate_llr(s, 7), s)
+    assert np.array_equal(d7.g(s, 0, 0, 0), s)
 
 
 def test_hard_decision_convention():
-    assert np.array_equal(hard_decision(np.array([-2, -1, 0, 1, 2])),
-                          [1, 1, 0, 0, 0])
+    llr = np.array([-2, -1, 0, 1, 2])
+    assert np.array_equal(QuantDomain.hd(llr), [1, 1, 0, 0, 0])
+    assert np.array_equal(FloatDomain.hd(llr.astype(float)), [1, 1, 0, 0, 0])
 
 
 def test_quantize_channel_llr_rounding():
+    def channel(x, scale):
+        dom = QuantDomain(QuantProfile(q_c=6, channel_scale=scale), 4)
+        return dom.channel(np.asarray(x))
+
     # round to nearest, ties away from zero, then saturate
-    got = quantize_channel_llr(np.array([0.49, 0.5, -0.5, -0.49, 2.4, -2.6]),
-                               q_c=6, scale=1.0)
+    got = channel([0.49, 0.5, -0.5, -0.49, 2.4, -2.6], 1.0)
     assert np.array_equal(got, [0, 1, -1, 0, 2, -3])
-    got = quantize_channel_llr(np.array([0.74, 0.76, 100.0, -100.0]),
-                               q_c=6, scale=0.5)
+    got = channel([0.74, 0.76, 100.0, -100.0], 0.5)
     assert np.array_equal(got, [1, 2, 31, -31])
     # scale divides: one step equals `scale` in LLR units
     x = np.linspace(-20, 20, 401)
     for scale in (0.5, 0.75, 1.0):
         want = np.sign(x) * np.floor(np.abs(x) / scale + 0.5)
         want = np.clip(want, -31, 31)
-        assert np.array_equal(quantize_channel_llr(x, 6, scale), want)
-
-
-def test_qllr_container_invariants():
-    with pytest.raises(ValueError):
-        QLLR(1, 32, 6)
-    with pytest.raises(ValueError):
-        QLLR(1, 1, 8)
-    z = QLLR(-1, 0, 6)  # negative zero normalizes
-    assert z.sign == 1 and z.value == 0
-    assert QLLR.from_value(-17, 6).value == -17
-    with pytest.raises(ValueError):
-        PathMetric(128, 7)
-    assert PathMetric(127, 7).value == 127
+        assert np.array_equal(channel(x, scale), want)
 
 
 def test_quant_profile_stage_widths():

@@ -37,7 +37,8 @@ def test_tracer_installs_records_and_unwraps():
     finally:
         tracer.unwrap()
     names = {span[0] for span in tracer.spans}
-    assert "engine.store.read" in names
+    assert {"engine.store.read", "qarith.f", "qarith.g",
+            "qarith.channel"} <= names
     assert tracer.counts["engine.store.unique_rows"] > 0
     assert pl.engine.PathStore.__dict__["read"] is read
 
