@@ -59,7 +59,7 @@ def _bits_from_line(line, n, what):
 
 
 def _bits_to_str(bits):
-    return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
+    return ((np.asarray(bits).ravel() != 0) + np.uint8(ord("0"))).tobytes().decode()
 
 
 def _echo_config(cfg, args):

@@ -4,11 +4,14 @@ The decoder walks the code tree in natural order, keeping up to L candidate
 paths. Four architectural mechanisms are modeled bit-accurately:
 
   * strided LLR storage: only every ``storage_stride``-th stage keeps a
-    bank per path; intermediate stages are recomputed from the nearest
-    stored ancestor (the channel bank is shared by all paths). The
-    schedule does not depend on the data, so the plan decides each step's
-    recompute chain once, and the cycle trace (``schedule_trace``) comes
-    from that plan rather than from the decode loop;
+    bank per path, and the hardware recomputes the stages between from the
+    nearest stored ancestor (the channel bank is shared by all paths). The
+    recompute changes no value, and its visible results are all functions
+    of the data-independent schedule: the cycle trace (``schedule_trace``
+    walks the strided banks of the plan), ``llr_memory_summary`` and the
+    LLR copy counters. So the software keeps a bank for every stage,
+    computes each tree node once, and models the stride only where it
+    shows;
   * address-map path cloning: each path reaches its banks through an
     address map, so surviving a pruning sort gathers map rows instead of
     copying LLR words; the element counters report what copying the banks
@@ -167,8 +170,10 @@ class PathStore:
     is its row in that array (column t of ``llr_map`` / ``ps_map``). Paths
     with equal addresses share provably identical contents. Cloning copies
     no bank contents: ``reassign`` is one gather of both maps. The element
-    counters report what physically copying the banks would cost: each
-    clone copies the 2^t words of every stage written so far.
+    counters report what physically copying the banks would cost in the
+    modeled layout: each clone copies the 2^t words of every stage written
+    so far, where an LLR stage counts only if the hardware stores it (t a
+    multiple of ``stride``), whatever banks the software keeps.
 
     Reads deduplicate addresses with a mark array over the bank's rows, not
     a sort. While each of the ``frames`` lists has one path, every LLR map
@@ -177,8 +182,9 @@ class PathStore:
     so their maps are not the identity then.
     """
 
-    def __init__(self, n, L, frames):
+    def __init__(self, n, L, frames, stride):
         self.frames = frames
+        self.stride = stride
         self.banks = {}
         self.maps = np.zeros((L * frames, 2, n), dtype=np.int64)
         self.llr_map, self.ps_map = self.maps[:, 0], self.maps[:, 1]
@@ -202,7 +208,7 @@ class PathStore:
         vals_u holds one row per distinct content, key maps each path to
         its row; equal keys mean provably identical contents.
         """
-        if (kind, t) not in self.banks:
+        if (kind, t) not in self.banks and (kind == "ps" or t % self.stride == 0):
             self.words[kind] += 1 << t
         self.banks[(kind, t)] = vals_u
         m = self.llr_map if kind == "llr" else self.ps_map
@@ -231,7 +237,12 @@ class PathStore:
 class Step:
     """One step of the schedule, at node v of stage t: a leaf block (kind
     'block', its 2^t leaves decided at once) or a subtree decided by forced
-    decisions (kind 'rate0' / 'rate1')."""
+    decisions (kind 'rate0' / 'rate1').
+
+    ``chain`` lists the tree nodes the walk enters on its way to this step,
+    top down and each node once per plan: the step computes them with f
+    (even v) or g (odd v) from the bank of stage ``src``, which holds the
+    parent of the first of them (the channel when src is n)."""
     kind: str
     t: int
     v: int
@@ -241,8 +252,8 @@ class Step:
     kinds: np.ndarray = None     # block: the kind of each leaf
     parity_leaves: dict = None   # block: leaf offset -> (constraint idx, earlier source offsets)
     free: int = 0            # block: free leaves, each doubles the paths
-    src: int = 0             # stage read first: a stored bank, or the channel (n)
-    chain: tuple = ()        # (t, v, stored, fresh) stage computations, top down
+    src: int = 0             # stage read first: a bank, or the channel (n)
+    chain: tuple = ()        # (t, v) nodes computed by this step, top down
 
 
 def _build_plan(spec, profile):
@@ -268,53 +279,51 @@ def _build_plan(spec, profile):
                 leaves[p - start] = (ci, pre)
         return ups, leaves
 
-    # Strided recompute does not depend on the data: track the node each
-    # stored bank holds and the node each stage computed last.
-    held = {t: -1 for t in range(0, n, profile.storage_stride)}
-    computed = [-1] * n
-    steps = []
+    # The walk never goes below the leaf blocks of stage w, so every node
+    # class comes from one reduction per stage from w up, and the walk
+    # itself reads Python lists only.
+    blocks = kinds.reshape(-1, 1 << w)
+    free = (blocks == FREE).sum(axis=1).tolist()
+    frozen, good = {}, {}
+    fz, gd = (blocks == FROZEN).all(axis=1), (blocks == GOOD).all(axis=1)
+    for t in range(w, n + 1):
+        frozen[t], good[t] = fz.tolist(), gd.tolist()
+        fz, gd = fz[0::2] & fz[1::2], gd[0::2] & gd[1::2]
 
-    def add(step):
-        t, v, src = step.t, step.v, step.t
-        while src < n and held.get(src) != v >> (src - t):
-            src += 1
-        for s in range(src - 1, t - 1, -1):
-            node = v >> (s - t)
-            if s in held:
-                held[s] = node
-            step.chain += ((s, node, s in held, computed[s] != node),)
-            computed[s] = node
-        step.src = src
-        steps.append(step)
-
+    steps, chain = [], []
     # Depth-first in natural leaf order, on an explicit stack: a recursive
     # closure would hold the plan in a reference cycle until the cyclic GC.
     stack = [(n, 0)]
     while stack:
         t, v = stack.pop()
+        if t < n:
+            chain.append((t, v))
         start, width = v << t, 1 << t
-        seg = kinds[start:start + width]
         tail = start + width == N
-        special = width <= profile.max_special_node and t >= w
+        special = width <= profile.max_special_node
         # The walk meets (n, 0), (n-1, 0), ... first, so the first all-frozen
         # head node is the largest aligned all-frozen prefix of the schedule.
-        head = v == 0 and t >= w and profile.skip_frozen_prefix
-        if (special or head) and (seg == FROZEN).all():
-            add(Step("rate0", t, v, [], tail, is_prefix=head))
-        elif special and (seg == GOOD).all():
-            add(Step("rate1", t, v, span_updates(start, width, False)[0], tail))
+        head = v == 0 and profile.skip_frozen_prefix
+        if (special or head) and frozen[t][v]:
+            step = Step("rate0", t, v, [], tail, is_prefix=head)
+        elif special and good[t][v]:
+            step = Step("rate1", t, v, span_updates(start, width, False)[0], tail)
         elif t == w:
             ups, leaves = span_updates(start, width, True)
-            add(Step("block", t, v, ups, tail, kinds=seg.copy(),
-                     parity_leaves=leaves, free=int((seg == FREE).sum())))
+            step = Step("block", t, v, ups, tail, kinds=blocks[v],
+                        parity_leaves=leaves, free=free[v])
         else:
             stack += [(t - 1, 2 * v + 1), (t - 1, 2 * v)]
+            continue
+        step.chain, step.src = tuple(chain), chain[0][0] + 1 if chain else n
+        steps.append(step)
+        chain = []
     return steps, w
 
 
 def _plan_for(spec, profile):
     key = (profile.leaf_width, profile.max_special_node,
-           profile.skip_frozen_prefix, profile.storage_stride)
+           profile.skip_frozen_prefix)
     plan = spec._plan_cache.get(key)
     if plan is None:
         plan = _build_plan(spec, profile)
@@ -616,7 +625,7 @@ class _ListDecoder:
         self.n, self.N = spec.n, spec.N
         self.steps, self.w = _plan_for(spec, profile)
         R = L * frames
-        self.store = PathStore(self.n, L, frames)
+        self.store = PathStore(self.n, L, frames, profile.storage_stride)
         ncon = len(spec.pc.constraints) if spec.pc is not None else 0
         self.pc_acc = np.zeros((R, max(ncon, 1)), dtype=np.uint8)
         # The final step's decisions only cascade upward, never into the
@@ -635,7 +644,7 @@ class _ListDecoder:
             vals, gid = self.chan, np.repeat(self._frame_ids, self.L_act)
         else:
             vals, gid = self.store.read(step.src, self.rows)
-        for t, v, stored, _fresh in step.chain:
+        for t, v in step.chain:
             h = 1 << t
             if v & 1 == 0:
                 vals = self.domain.f(vals[:, :h], vals[:, h:], t)
@@ -644,8 +653,7 @@ class _ListDecoder:
                 pu = vals[keys]
                 vals = self.domain.g(pu[:, h:], pu[:, :h], s, t)
                 gid = pair
-            if stored:
-                self.store.write("llr", t, vals, gid, self.rows)
+            self.store.write("llr", t, vals, gid, self.rows)
         return vals, gid
 
     def _with_ps(self, t, key, n_keys):
@@ -801,14 +809,28 @@ def schedule_trace(spec, profile, L=None):
     them. So the trace needs path counts only, no arithmetic.
     """
     profile, L = _checked(spec, profile, L)
+    n = spec.n
     steps, w = _plan_for(spec, profile)
     trace = DecodeTrace(N=spec.N, k=spec.k, L=L, kind=profile.kind,
                         semi_parallel_stages=profile.semi_parallel_stages,
                         semi_parallel_group=profile.semi_parallel_group)
+    # The hardware keeps a bank only for every storage_stride-th stage, so a
+    # step recomputes from the nearest stage whose bank holds its ancestor:
+    # track the node each kept bank holds and the node each stage computed
+    # last (a stage event is fresh when its node changed).
+    held = dict.fromkeys(range(0, n, profile.storage_stride), -1)
+    computed = [-1] * n
     paths = 1
     for step in steps:
-        for t, v, _stored, fresh in step.chain:
-            trace.stage(t, "g" if v & 1 else "f", paths, fresh)
+        t, v, src = step.t, step.v, step.t
+        while src < n and held.get(src) != v >> (src - t):
+            src += 1
+        for s in range(src - 1, t - 1, -1):
+            node = v >> (s - t)
+            if s in held:
+                held[s] = node
+            trace.stage(s, "g" if node & 1 else "f", paths, computed[s] != node)
+            computed[s] = node
         if step.kind != "block":
             trace.special(step.kind, step.t, paths, step.is_prefix)
             continue

@@ -72,21 +72,27 @@ def quantize_channel_llr(x, q_c=6, scale=1.0):
 
 
 class QuantDomain:
-    """Fixed-point arithmetic for one code size n under a QuantProfile."""
+    """Fixed-point arithmetic for one code size n under a QuantProfile.
+
+    LLRs are int16 when every LLR width is at most 15: the largest value
+    ``g`` forms before it saturates is the sum of two magnitudes of at most
+    2^14 - 1, which int16 holds. A 16-bit width takes int32.
+    """
 
     is_float = False
-    llr_dtype = np.int32
     pm_dtype = np.int64
 
     def __init__(self, quant, n):
         self.quant = quant
         self.n = n
         self.widths = tuple(quant.width_for_stage(t, n) for t in range(n + 1))
+        self.llr_dtype = np.int16 if max(self.widths) <= 15 else np.int32
         self.pm_cap_sort = (1 << quant.q_sort) - 1
         self.pm_cap_store = (1 << quant.q_pm) - 1
 
     def channel(self, llrs):
-        return quantize_channel_llr(llrs, self.quant.q_c, self.quant.channel_scale)
+        return quantize_channel_llr(llrs, self.quant.q_c, self.quant.channel_scale
+                                    ).astype(self.llr_dtype)
 
     def check_channel(self, llrs):
         llrs = np.asarray(llrs)

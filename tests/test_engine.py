@@ -8,6 +8,7 @@ from polarscl import reference
 from polarscl.codes import (
     CrcSpec, build_message, construct_code, polar_transform,
 )
+from polarscl.config import load_config
 from polarscl.engine import (
     FREE, FROZEN, GOOD, BatchResult, _dedup, _prune_order, decode,
     decode_batch, llr_memory_summary, profile_for, recover_from_partial_sums,
@@ -280,6 +281,31 @@ def test_prune_order_matches_packed_key_sort():
         assert np.array_equal(_prune_order(pm, L, F), want)
 
 
+def test_width_16_decode_matches_wide_reference():
+    """A [quant] setting of 16 bits keeps LLRs in int32: g at the
+    saturation corners (+/-32767 each) overflows int16. The decode equals
+    the bit-serial reference run entirely in int64."""
+    cfg = load_config(overrides=[
+        "code.N=64", "code.k=32", "code.method=bhattacharyya",
+        "code.design_param=0.5", "code.crc_width=0", "quant.q_c=16",
+        "quant.q_i=16", "quant.channel_scale=0.0001"])
+    spec, prof = cfg.build_spec(), cfg.build_profile()
+    rng = np.random.default_rng(16)
+    llrs = np.stack([noisy_llrs(spec, rng, sigma=1.2)[1] for _ in range(3)])
+    res = decode_batch(llrs, spec, prof, L=8)
+    wide = QuantDomain(prof.quant, spec.n)
+    assert wide.llr_dtype == np.int32
+    wide.llr_dtype = np.int64
+    for i in range(3):
+        chan = wide.channel(llrs[i])
+        assert np.abs(chan).max() == 32767
+        u, paths, pm = reference.scl_reference(chan, spec, 8, domain=wide,
+                                               selection=prof.selection)
+        assert np.array_equal(res.u_hat[i], u)
+        assert np.array_equal(res.survivors_u[i], paths)
+        assert np.array_equal(res.survivors_pm[i], pm)
+
+
 def test_sc_tie_rule_at_the_metric_cap():
     """At L=1 the metric is never normalized, so on a noisy N=1024 frame it
     saturates at the q_sort cap; from then on a free bit with a negative
@@ -308,6 +334,17 @@ def test_leaf_width_above_the_limit_is_rejected():
         profile_for("flexible", leaf_width=16, n_max_log=14)
 
 
+def clone_counters(kind, L, leaf_width, N, crc, **overrides):
+    rng = np.random.default_rng(N + L)
+    spec = construct_code(N, N // 2, method="bhattacharyya", design_param=0.5,
+                          crc=CrcSpec(crc) if crc else None)
+    llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(2)])
+    prof = profile_for(kind, leaf_width=leaf_width, **overrides)
+    stats = decode_batch(llrs, spec, prof, L=L).stats
+    return (stats["clone_events"], stats["llr_element_copies"],
+            stats["ps_element_copies"])
+
+
 @pytest.mark.parametrize("kind, L, leaf_width, N, crc, want", [
     ("flexible", 8, 4, 256, 8, (99, 7128, 16876)),
     ("ultra", 32, 2, 128, 0, (385, 6160, 37566)),
@@ -318,14 +355,21 @@ def test_clone_counters_pinned(kind, L, leaf_width, N, crc, want):
     """Clone events and the element copies that physically copying each
     clone's banks costs, pinned to values from a decoder that made those
     copies (two noisy frames per batch)."""
-    rng = np.random.default_rng(N + L)
-    spec = construct_code(N, N // 2, method="bhattacharyya", design_param=0.5,
-                          crc=CrcSpec(crc) if crc else None)
-    llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(2)])
-    prof = profile_for(kind, leaf_width=leaf_width)
-    stats = decode_batch(llrs, spec, prof, L=L).stats
-    assert (stats["clone_events"], stats["llr_element_copies"],
-            stats["ps_element_copies"]) == want
+    assert clone_counters(kind, L, leaf_width, N, crc) == want
+
+
+@pytest.mark.parametrize("kind, L, leaf_width, N, crc, stride, want", [
+    ("flexible", 8, 4, 256, 8, 1, (99, 24948, 16876)),
+    ("flexible", 8, 4, 256, 8, 4, (99, 1584, 16876)),
+    ("ultra", 32, 2, 128, 0, 2, (385, 32340, 37566)),
+])
+def test_clone_counters_pinned_at_other_strides(kind, L, leaf_width, N, crc,
+                                                stride, want):
+    """The LLR copies count the stages the strided layout keeps, whatever
+    banks the software holds: pinned to values from a decoder that kept
+    only those stages."""
+    assert clone_counters(kind, L, leaf_width, N, crc,
+                          storage_stride=stride) == want
 
 
 def test_recover_hand_trace_n4():

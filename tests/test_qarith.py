@@ -184,3 +184,37 @@ def test_domains_share_kernel_semantics():
     g_int = qd.g(a, b, np.zeros(50, dtype=np.uint8), 4)
     g_flt = fd.g(a.astype(float), b.astype(float), np.zeros(50), 4)
     assert np.array_equal(g_int, np.clip(g_flt, -31, 31))
+
+
+def test_llr_dtype_follows_the_widest_llr_word():
+    """LLRs are int16 while every LLR width of the code is at most 15
+    bits, and int32 once one is 16; the channel bank takes that dtype."""
+    for widths, want in (({}, np.int16),
+                         ({"q_c": 15, "q_i": 15}, np.int16),
+                         ({"q_i_overrides": ((9, 16),)}, np.int16),
+                         ({"q_c": 16}, np.int32),
+                         ({"q_i": 16}, np.int32),
+                         ({"q_i_overrides": ((3, 16),)}, np.int32)):
+        dom = QuantDomain(QuantProfile(**widths), 6)
+        assert dom.llr_dtype == want, widths
+        assert dom.channel(np.array([0.5, -90.0])).dtype == want, widths
+
+
+def test_kernels_at_width_15_saturation_corners():
+    """At width 15, g's unsaturated sum of two magnitudes of 16383 still
+    fits int16: f and g on the int16 corners equal int64 arithmetic."""
+    dom = QuantDomain(QuantProfile(q_c=15, q_i=15), 1)
+    m = llr_max(15)
+    corners = np.array([-m, -m + 1, -1, 0, 1, m - 1, m], dtype=np.int64)
+    a, b = (x.ravel() for x in np.meshgrid(corners, corners, indexing="ij"))
+    a16, b16 = a.astype(dom.llr_dtype), b.astype(dom.llr_dtype)
+    assert a16.dtype == np.int16
+    for s in (0, 1):
+        bits = np.full(len(a), s, dtype=np.uint8)
+        got = dom.g(a16, b16, bits, 0)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, np.clip(a + (-b if s else b), -m, m))
+    got = dom.f(a16, b16, 0)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, np.sign(a) * np.sign(b)
+                          * np.minimum(np.abs(a), np.abs(b)))

@@ -88,6 +88,18 @@ def test_schedule_trace_matches_pinned_digest(codes, kind, stride):
     assert events_digest(traces) == PINNED[kind, stride]
 
 
+@pytest.mark.parametrize("kind", ["sc", "flexible", "ultra"])
+def test_plan_computes_each_node_once_at_any_stride(codes, kind):
+    """The decode computes every tree node once: no (t, v) is in two
+    chains of a plan. The stride acts on the trace and the copy counters
+    only, so profiles that differ in it alone share one plan."""
+    for configs in zip(*(grid(kind, stride, codes) for stride in (1, 2, 3, 4))):
+        plans = [engine._plan_for(spec, profile) for spec, profile, _L in configs]
+        assert all(plan is plans[0] for plan in plans)
+        nodes = [node for step in plans[0][0] for node in step.chain]
+        assert len(nodes) == len(set(nodes))
+
+
 def test_latency_total_cycles_pinned(capsys):
     """The report of ``polarscl latency`` on the ultra profile at N=256,
     k=128 (every other setting at its default), as the decode-loop trace
