@@ -5,13 +5,10 @@ paths. Four architectural mechanisms are modeled bit-accurately:
 
   * strided LLR storage: only every ``storage_stride``-th stage keeps a
     bank per path, and the hardware recomputes the stages between from the
-    nearest stored ancestor (the channel bank is shared by all paths). The
-    recompute changes no value, and its visible results are all functions
-    of the data-independent schedule: the cycle trace (``schedule_trace``
-    walks the strided banks of the plan), ``llr_memory_summary`` and the
-    LLR copy counters. So the software keeps a bank for every stage,
-    computes each tree node once, and models the stride only where it
-    shows;
+    nearest stored ancestor (the channel bank is shared by all paths). That
+    changes no value, so the software keeps every stage and computes each
+    node once; the stride shows only in the cycle trace (``schedule_trace``),
+    ``llr_memory_summary`` and the LLR copy counters;
   * address-map path cloning: each path reaches its banks through an
     address map, so surviving a pruning sort gathers map rows instead of
     copying LLR words; the element counters report what copying the banks
@@ -237,12 +234,8 @@ class PathStore:
 class Step:
     """One step of the schedule, at node v of stage t: a leaf block (kind
     'block', its 2^t leaves decided at once) or a subtree decided by forced
-    decisions (kind 'rate0' / 'rate1').
-
-    ``chain`` lists the tree nodes the walk enters on its way to this step,
-    top down and each node once per plan: the step computes them with f
-    (even v) or g (odd v) from the bank of stage ``src``, which holds the
-    parent of the first of them (the channel when src is n)."""
+    decisions (kind 'rate0' / 'rate1'). Its ``chain`` holds the nodes the
+    walk enters on the way to it, so no node is in two steps' chains."""
     kind: str
     t: int
     v: int
@@ -252,8 +245,8 @@ class Step:
     kinds: np.ndarray = None     # block: the kind of each leaf
     parity_leaves: dict = None   # block: leaf offset -> (constraint idx, earlier source offsets)
     free: int = 0            # block: free leaves, each doubles the paths
-    src: int = 0             # stage read first: a bank, or the channel (n)
-    chain: tuple = ()        # (t, v) nodes computed by this step, top down
+    src: int = 0             # stage read first: the first node's parent, or the channel (n)
+    chain: tuple = ()        # (t, v) nodes computed (f for even v, g for odd), top down
 
 
 def _build_plan(spec, profile):
@@ -814,10 +807,9 @@ def schedule_trace(spec, profile, L=None):
     trace = DecodeTrace(N=spec.N, k=spec.k, L=L, kind=profile.kind,
                         semi_parallel_stages=profile.semi_parallel_stages,
                         semi_parallel_group=profile.semi_parallel_group)
-    # The hardware keeps a bank only for every storage_stride-th stage, so a
-    # step recomputes from the nearest stage whose bank holds its ancestor:
-    # track the node each kept bank holds and the node each stage computed
-    # last (a stage event is fresh when its node changed).
+    # The hardware keeps every storage_stride-th stage, so a step recomputes
+    # from the nearest bank that holds its ancestor: track the node each kept
+    # bank holds and the node each stage computed last (fresh if it changed).
     held = dict.fromkeys(range(0, n, profile.storage_stride), -1)
     computed = [-1] * n
     paths = 1

@@ -74,9 +74,8 @@ def quantize_channel_llr(x, q_c=6, scale=1.0):
 class QuantDomain:
     """Fixed-point arithmetic for one code size n under a QuantProfile.
 
-    LLRs are int16 when every LLR width is at most 15: the largest value
-    ``g`` forms before it saturates is the sum of two magnitudes of at most
-    2^14 - 1, which int16 holds. A 16-bit width takes int32.
+    LLRs are int16 while every LLR width is at most 15 bits (``g`` sums two
+    magnitudes of at most 2^14 - 1 before it saturates), else int32.
     """
 
     is_float = False
