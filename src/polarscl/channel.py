@@ -109,6 +109,10 @@ def run_fer(spec, profile, snr_db, seed=20260819, L=None,
         profile = profile_for(profile)
     if batch < 1:
         raise ValueError("batch size must be at least 1")
+    if max_frames < 1:
+        raise ValueError("max_frames must be at least 1, got %r" % (max_frames,))
+    if max_errors < 1:
+        raise ValueError("max_errors must be at least 1, got %r" % (max_errors,))
     snrs = np.atleast_1d(np.asarray(snr_db, dtype=float))
     points = []
     for si, snr in enumerate(snrs):

@@ -290,8 +290,7 @@ class RunConfig:
                           num_cores=a["num_cores"])
 
     def list_size(self):
-        d = self.sections["decoder"]
-        return d["l"] if d["l"] is not None else None
+        return self.sections["decoder"]["l"]
 
     # -- provenance --------------------------------------------------------
 

@@ -9,10 +9,11 @@ paths. Four architectural mechanisms are modeled bit-accurately:
     changes no value, so the software keeps every stage and computes each
     node once; the stride shows only in the cycle trace (``schedule_trace``),
     ``llr_memory_summary`` and the LLR copy counters;
-  * address-map path cloning: each path reaches its banks through an
-    address map, so surviving a pruning sort gathers map rows instead of
-    copying LLR words; the element counters report what copying the banks
-    of each clone would have cost;
+  * address-map path cloning: every bank holds one row per active path,
+    and each path reaches its row of every stage through an address map,
+    so surviving a pruning sort gathers map rows instead of copying bank
+    words; the element counters report what copying the banks of each
+    clone would have cost;
   * multi-bit leaf decisions: ``leaf_width`` leaves are decided per step by
     expanding every free-bit pattern of every path and pruning once, which
     this module keeps exactly equivalent to bit-serial processing because
@@ -122,6 +123,16 @@ def profile_for(kind, **overrides):
     return replace(DecoderProfile(**base), **overrides)
 
 
+def _list_size(profile, L):
+    """L checked against the profile; None stands for the profile's
+    maximum."""
+    if L is None:
+        return profile.l_max
+    if L < 1 or L & (L - 1) or L > profile.l_max:
+        raise ValueError("list size must be a power of two <= %d" % profile.l_max)
+    return L
+
+
 def llr_memory_summary(n, profile, L=None):
     """Per-list LLR storage of the strided layout vs. keeping every stage.
 
@@ -129,7 +140,7 @@ def llr_memory_summary(n, profile, L=None):
     layouts and excluded). Recompute replica banks for stage 5 count once,
     not per path.
     """
-    L = L or profile.l_max
+    L = _list_size(profile, L)
     stride = profile.storage_stride
     stored = tuple(t for t in range(n) if t % stride == 0)
     per_path = sum(1 << t for t in stored)
@@ -147,69 +158,45 @@ def llr_memory_summary(n, profile, L=None):
     }
 
 
-# -- small helpers -------------------------------------------------------------
-
-def _dedup(keys, size):
-    """``np.unique(keys, return_inverse=True)`` for integer keys in
-    [0, size), by marking each key instead of sorting."""
-    mark = np.zeros(size, dtype=bool)
-    mark[keys] = True
-    return np.flatnonzero(mark), np.cumsum(mark)[keys] - 1
-
-
 # -- per-path bank store -------------------------------------------------------
 
 class PathStore:
     """Per-stage LLR / partial-sum banks of every path, behind address maps.
 
-    Every write replaces the stage-t bank of every active path at once, so
-    it stores its deduplicated rows as one fresh array and a path's address
-    is its row in that array (column t of ``llr_map`` / ``ps_map``). Paths
-    with equal addresses share provably identical contents. Cloning copies
-    no bank contents: ``reassign`` is one gather of both maps. The element
-    counters report what physically copying the banks would cost in the
-    modeled layout: each clone copies the 2^t words of every stage written
-    so far, where an LLR stage counts only if the hardware stores it (t a
-    multiple of ``stride``), whatever banks the software keeps.
-
-    Reads deduplicate addresses with a mark array over the bank's rows, not
-    a sort. While each of the ``frames`` lists has one path, every LLR map
-    column is the identity (LLR rows never merge across frames), so a read
-    returns the bank as it is. Partial-sum rows are shared across frames,
-    so their maps are not the identity then.
+    Every write replaces the stage-t bank of every active path at once: it
+    stores one row per path as a fresh array, and a path's address is its
+    row in that array (column t of the kind's map). Cloning copies no bank
+    contents: ``reassign`` is one gather of both maps, after which a clone
+    and its parent share the rows of every bank written so far (Tal and
+    Vardy's lazy copy). The element counters report what physically
+    copying the banks would cost in the modeled layout: each clone copies
+    the 2^t words of every stage written so far, where an LLR stage counts
+    only if the hardware stores it (t a multiple of ``stride``), whatever
+    banks the software keeps.
     """
 
-    def __init__(self, n, L, frames, stride):
-        self.frames = frames
+    def __init__(self, n, rows, stride):
         self.stride = stride
         self.banks = {}
-        self.maps = np.zeros((L * frames, 2, n), dtype=np.int64)
-        self.llr_map, self.ps_map = self.maps[:, 0], self.maps[:, 1]
+        self.maps = np.zeros((rows, 2, n), dtype=np.int64)
+        self.map = {"llr": self.maps[:, 0], "ps": self.maps[:, 1]}
         self.words = {"llr": 0, "ps": 0}
         self.clone_events = 0
         self.llr_element_copies = 0
         self.ps_element_copies = 0
 
-    def read(self, t, rows):
-        """Deduplicated stage-t LLR bank of the first ``rows`` paths:
-        (unique rows, path -> row index)."""
-        bank = self.banks[("llr", t)]
-        if rows == self.frames:
-            return bank, np.arange(rows)
-        uniq, gid = _dedup(self.llr_map[:rows, t], len(bank))
-        return bank[uniq], gid
+    def read(self, kind, t, rows):
+        """The stage-t bank of a kind ('llr' or 'ps') and the row of each of
+        the first ``rows`` paths in it: (bank, path -> bank row)."""
+        return self.banks[(kind, t)], self.map[kind][:rows, t]
 
-    def write(self, kind, t, vals_u, key, L_act):
-        """Replace the stage-t bank of every active path.
-
-        vals_u holds one row per distinct content, key maps each path to
-        its row; equal keys mean provably identical contents.
-        """
+    def write(self, kind, t, vals):
+        """Replace the stage-t bank of the active paths; row i of vals
+        belongs to path i."""
         if (kind, t) not in self.banks and (kind == "ps" or t % self.stride == 0):
             self.words[kind] += 1 << t
-        self.banks[(kind, t)] = vals_u
-        m = self.llr_map if kind == "llr" else self.ps_map
-        m[:L_act, t] = key
+        self.banks[(kind, t)] = vals
+        self.map[kind][:len(vals), t] = np.arange(len(vals))
 
     def reassign(self, parents):
         """Survivor i inherits the banks of path parents[i] (clone step);
@@ -442,17 +429,17 @@ def _prune_order(pm, L, F):
     return (np.sort(best, axis=1) + C * np.arange(F)[:, None]).ravel()
 
 
-def _block_candidates(pm, vals, gid, kinds, parity_leaves, pc_acc, domain,
-                      w, L, F=1):
+def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
+                      F=1):
     """Split and prune one leaf block, leaf by leaf, on precomputed tables.
 
     Runs the exact schedule of a bit-serial decoder -- double the candidate
     set at each free leaf, keep the best L, renormalize after each pruning
-    sort -- but reads every leaf LLR out of the pattern tensor of the
-    deduplicated block vectors instead of recomputing the in-block tree per
-    candidate. The candidate array stays sorted by (entry path, decided
-    bits) throughout, so positional order doubles as the serial path index
-    for tie-breaking. With F > 1 the entry paths belong to F equally sized
+    sort -- but reads every leaf LLR out of the pattern tensor of the entry
+    paths' block vectors (one row per path) instead of recomputing the
+    in-block tree per candidate. The candidate array stays sorted by (entry
+    path, decided bits) throughout, so positional order doubles as the
+    serial path index for tie-breaking. With F > 1 the entry paths belong to F equally sized
     independent frames (lockstep batch) and pruning keeps L per frame.
 
     Returns (parents, pattern values, metrics, peak candidate count,
@@ -467,7 +454,7 @@ def _block_candidates(pm, vals, gid, kinds, parity_leaves, pc_acc, domain,
     n_sorts = 0
     for j in range(W):
         # undecided suffix = 0 in the pattern index
-        llr = full[gid[parent], value << (W - j), j]
+        llr = full[parent, value << (W - j), j]
         hd = llr < 0
         pj = domain.pen(llr)
         kind = int(kinds[j])
@@ -514,12 +501,12 @@ def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
     """One leaf-block expansion plus pruning, as a standalone step.
 
     pms: (P,) path metrics; block_vectors: (P, W) leaf-block LLR vectors,
-    W a power of two up to MAX_LEAF_WIDTH; kinds: length-W leaf kinds (FREE / FROZEN / GOOD -- parity leaves need
-    the running accumulators of a full decode). Splitting and selection are
-    interleaved leaf by leaf, exactly like running W sequential one-bit
-    splits. Returns a dict with the surviving parents, decided bits,
-    pattern values and metrics, plus the peak candidate count and the
-    number of pruning sorts.
+    W a power of two up to MAX_LEAF_WIDTH; kinds: length-W leaf kinds
+    (FREE / FROZEN / GOOD -- parity leaves need the running accumulators
+    of a full decode). Splitting and selection are interleaved leaf by
+    leaf, exactly like running W sequential one-bit splits. Returns a dict
+    with the surviving parents, decided bits, pattern values and metrics,
+    plus the peak candidate count and the number of pruning sorts.
     """
     domain = domain or FloatDomain()
     vals = np.atleast_2d(np.asarray(block_vectors, dtype=domain.llr_dtype))
@@ -537,7 +524,7 @@ def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
         raise ValueError("one metric per path required")
     w = W.bit_length() - 1
     parent, value, pm, peak, n_sorts = _block_candidates(
-        pms, vals, np.arange(len(vals)), kinds, {}, None, domain, w, L_target)
+        pms, vals, kinds, {}, None, domain, w, L_target)
     return {
         "parent": parent,
         "bits": _pattern_tables(W)[value],
@@ -618,7 +605,7 @@ class _ListDecoder:
         self.n, self.N = spec.n, spec.N
         self.steps, self.w = _plan_for(spec, profile)
         R = L * frames
-        self.store = PathStore(self.n, L, frames, profile.storage_stride)
+        self.store = PathStore(self.n, R, profile.storage_stride)
         ncon = len(spec.pc.constraints) if spec.pc is not None else 0
         self.pc_acc = np.zeros((R, max(ncon, 1)), dtype=np.uint8)
         # The final step's decisions only cascade upward, never into the
@@ -630,57 +617,38 @@ class _ListDecoder:
         self.rows = frames          # total active path rows = F * L_act
         self._frame_ids = np.arange(frames)
 
-    # ---- LLR vector access (the plan's recompute chain) ----
+    # ---- bank access ----
+
+    def _rows(self, kind, t):
+        """Each active path's row of the stage-t bank of a kind."""
+        bank, rows = self.store.read(kind, t, self.rows)
+        return bank[rows]
 
     def _vecs(self, step):
+        """The LLR vector of each active path at the step's node, computed
+        down the plan's recompute chain from its first node's parent."""
         if step.src == self.n:
-            vals, gid = self.chan, np.repeat(self._frame_ids, self.L_act)
+            vals = np.repeat(self.chan, self.L_act, axis=0)
         else:
-            vals, gid = self.store.read(step.src, self.rows)
+            vals = self._rows("llr", step.src)
         for t, v in step.chain:
             h = 1 << t
             if v & 1 == 0:
                 vals = self.domain.f(vals[:, :h], vals[:, h:], t)
             else:
-                keys, pair, s = self._with_ps(t, gid, len(vals))
-                pu = vals[keys]
-                vals = self.domain.g(pu[:, h:], pu[:, :h], s, t)
-                gid = pair
-            self.store.write("llr", t, vals, gid, self.rows)
-        return vals, gid
-
-    def _with_ps(self, t, key, n_keys):
-        """Distinct (key, stage-t partial-sum row) pairs of the active paths,
-        for keys in [0, n_keys).
-
-        Returns (the key of each pair, path -> pair index, the partial sums
-        of each pair). With one path per frame every path is its own pair.
-        """
-        srows = self.store.ps_map[:self.rows, t]
-        bank = self.store.banks[("ps", t)]
-        if self.L_act == 1:
-            return key, self._frame_ids, bank[srows]
-        nb = len(bank)
-        code = key * nb + srows
-        # A mark array over every possible pair beats a sort only while it
-        # stays within a small multiple of the path count.
-        if n_keys * nb <= 32 * self.rows:
-            uniq, pair = _dedup(code, n_keys * nb)
-        else:
-            uniq, pair = np.unique(code, return_inverse=True)
-        return uniq // nb, pair, bank[uniq % nb]
+                vals = self.domain.g(vals[:, h:], vals[:, :h],
+                                     self._rows("ps", t), t)
+            self.store.write("llr", t, vals)
+        return vals
 
     # ---- partial-sum write-back cascade ----
 
-    def _write_beta(self, t, v, beta_u, key):
+    def _write_beta(self, t, v, beta):
         while t < self.n:
             if v & 1 == 0:
-                self.store.write("ps", t, beta_u, key, self.rows)
+                self.store.write("ps", t, beta)
                 return
-            keys, new_key, s = self._with_ps(t, key, len(beta_u))
-            rep = beta_u[keys]
-            beta_u = np.concatenate([s ^ rep, rep], axis=1)
-            key = new_key
+            beta = np.concatenate([self._rows("ps", t) ^ beta, beta], axis=1)
             t += 1
             v >>= 1
 
@@ -698,9 +666,8 @@ class _ListDecoder:
     # ---- step processors ----
 
     def _block(self, step):
-        vals, gid = self._vecs(step)
         parents, kept_value, pm, _peak, _sorts = _block_candidates(
-            self.pm, vals, gid, step.kinds, step.parity_leaves,
+            self.pm, self._vecs(step), step.kinds, step.parity_leaves,
             self.pc_acc, self.domain, self.w, self.L, self.F)
         W = 1 << self.w
         kept_bits = _pattern_tables(W)[kept_value]
@@ -714,21 +681,18 @@ class _ListDecoder:
                                                             axis=1)
         if step.has_tail:
             self.tail_bits[:keep] = kept_bits
-        uniq, key = _dedup(kept_value, 1 << W)
-        self._write_beta(self.w, step.v, _pattern_sums(W)[uniq], key)
+        self._write_beta(self.w, step.v, _pattern_sums(W)[kept_value])
 
     def _special(self, step):
-        vals, gid = self._vecs(step)
-        u_u, beta_u, pens_u = _forced_eval(vals, step.kind, step.t, self.domain)
-        self.pm = self.domain.pm_fold(self.pm, pens_u[gid])
-        if step.acc_updates:
-            bits = u_u[gid]
-            for ci, offs in step.acc_updates:
-                self.pc_acc[:self.rows, ci] ^= np.bitwise_xor.reduce(
-                    bits[:, offs], axis=1)
+        bits, beta, pens = _forced_eval(self._vecs(step), step.kind, step.t,
+                                        self.domain)
+        self.pm = self.domain.pm_fold(self.pm, pens)
+        for ci, offs in step.acc_updates:
+            self.pc_acc[:self.rows, ci] ^= np.bitwise_xor.reduce(
+                bits[:, offs], axis=1)
         if step.has_tail:
-            self.tail_bits[:self.rows] = u_u[gid]
-        self._write_beta(step.t, step.v, beta_u, gid)
+            self.tail_bits[:self.rows] = bits
+        self._write_beta(step.t, step.v, beta)
 
     # ---- top level ----
 
@@ -745,8 +709,7 @@ class _ListDecoder:
         rows, F, c = self.rows, self.F, self.L_act
         tw = self.tail_bits.shape[1]
         U = recover_from_partial_sums(
-            [self.store.banks[("ps", t)][self.store.ps_map[:rows, t]]
-             for t in range(tw.bit_length() - 1, self.n)],
+            [self._rows("ps", t) for t in range(tw.bit_length() - 1, self.n)],
             self.tail_bits[:rows])
         crc_ok = None
         if self.spec.crc is not None:
@@ -787,10 +750,7 @@ def _checked(spec, profile, L):
     if spec.n > profile.n_max_log:
         raise ValueError("block length 2^%d exceeds the profile limit 2^%d"
                          % (spec.n, profile.n_max_log))
-    L = L or profile.l_max
-    if L < 1 or L & (L - 1) or L > profile.l_max:
-        raise ValueError("list size must be a power of two <= %d" % profile.l_max)
-    return profile, L
+    return profile, _list_size(profile, L)
 
 
 def schedule_trace(spec, profile, L=None):

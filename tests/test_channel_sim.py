@@ -109,6 +109,15 @@ def test_run_fer_stops_at_error_budget():
     assert p.frame_errors == 0
 
 
+def test_run_fer_rejects_empty_budgets():
+    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+    prof = profile_for("sc")
+    with pytest.raises(ValueError, match="max_frames must be at least 1"):
+        run_fer(spec, prof, 2.0, L=1, max_frames=0)
+    with pytest.raises(ValueError, match="max_errors must be at least 1"):
+        run_fer(spec, prof, 2.0, L=1, max_errors=-3)
+
+
 def test_run_fer_snr_grid_and_progress():
     spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
     prof = profile_for("flexible", n_max_log=14)

@@ -183,6 +183,18 @@ def test_fer_csv_is_reproducible(tmp_path):
     assert float(vals[4]) == pytest.approx(errors / frames)
 
 
+def test_fer_rejects_zero_list_size_and_budgets(tmp_path, capsys):
+    """-L 0 is an invalid list size, not the profile default, and a
+    campaign needs at least one frame and one error in its budgets."""
+    out = tmp_path / "fer.csv"
+    for flags, msg in ((["-L", "0"], "list size must be a power of two"),
+                       (["--max-frames", "0"], "max_frames must be at least 1"),
+                       (["--max-errors", "-3"], "max_errors must be at least 1")):
+        assert main(["fer", *_FER_ARGS, *flags, "-o", str(out), "-q"]) == 1
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_latency_report_fields(tmp_path, capsys):
     rc = main(["latency", "--set", "code.n=256", "--set", "code.k=128",
                "--profile", "flexible", "-L", "8", "--double-package", "-q"])

@@ -10,9 +10,9 @@ from polarscl.codes import (
 )
 from polarscl.config import load_config
 from polarscl.engine import (
-    FREE, FROZEN, GOOD, BatchResult, _dedup, _prune_order, decode,
+    FREE, FROZEN, GOOD, BatchResult, _prune_order, decode,
     decode_batch, llr_memory_summary, profile_for, recover_from_partial_sums,
-    split_and_select,
+    schedule_trace, split_and_select,
 )
 from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile
 
@@ -230,18 +230,6 @@ def test_split_and_select_one_survivor_from_several_paths():
             assert got["sorted"] == 1 and got["candidates"] == 2 * P
 
 
-def test_dedup_matches_unique():
-    rng = np.random.default_rng(12)
-    cases = [rng.integers(0, 50, 200), np.full(17, 9), rng.permutation(64),
-             np.array([5])]
-    for keys in cases:
-        size = int(keys.max()) + 1 + int(rng.integers(0, 4))
-        uniq, inv = _dedup(keys, size)
-        want_u, want_inv = np.unique(keys, return_inverse=True)
-        assert np.array_equal(uniq, want_u)
-        assert np.array_equal(inv, want_inv)
-
-
 def packed_prune_order(parent, value, pm, L, frame, pm_cap=None):
     """The pruning order this engine used before positional pruning: a
     (frame, metric, parent, pattern) sort, then the kept candidates
@@ -452,6 +440,66 @@ def test_non_finite_llrs_are_rejected(arith, bad):
             decode_batch(llrs, spec, prof, L=8, arithmetic=arith)
         with pytest.raises(ValueError, match="non-finite"):
             decode(llrs[3], spec, prof, L=8, arithmetic=arith)
+
+
+def test_list_size_zero_is_rejected():
+    """Only None stands for the profile's maximum list size; 0 is an
+    invalid list size like any other."""
+    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+    llrs = np.ones((1, 64))
+    prof = profile_for("flexible")
+    msg = "list size must be a power of two <= 8"
+    with pytest.raises(ValueError, match=msg):
+        decode_batch(llrs, spec, prof, L=0)
+    with pytest.raises(ValueError, match=msg):
+        schedule_trace(spec, prof, L=0)
+    with pytest.raises(ValueError, match=msg):
+        llr_memory_summary(6, prof, L=0)
+    assert decode_batch(llrs, spec, prof).stats["list_size"] == 8
+    assert llr_memory_summary(6, prof)["list_entries"] == \
+        llr_memory_summary(6, prof, L=8)["list_entries"]
+
+
+# (profile, N, k, CRC width, L, frames) -> (f/g output elements, stats)
+FG_VOLUME = {
+    ("ultra", 256, 128, 8, 32, 4): (185132, {
+        "clone_events": 988, "llr_element_copies": 15808,
+        "ps_element_copies": 174792, "list_size": 32}),
+    ("flexible", 1024, 512, 24, 8, 16): (1335536, {
+        "clone_events": 1759, "llr_element_copies": 1027256,
+        "ps_element_copies": 1083780, "list_size": 8}),
+    ("sc", 1024, 512, 0, 1, 8): (81920, {
+        "clone_events": 0, "llr_element_copies": 0,
+        "ps_element_copies": 0, "list_size": 1}),
+    ("ultra", 2048, 1024, 8, 32, 2): (1129150, {
+        "clone_events": 1199, "llr_element_copies": 326128,
+        "ps_element_copies": 1589410, "list_size": 32}),
+}
+
+
+def test_fg_volume_and_stats_pinned(monkeypatch):
+    """The f/g arithmetic of a decode is pinned element for element: a
+    change to how paths store or share their banks must not add f or g
+    work unseen. Counts are output elements of QuantDomain.f and .g; the
+    values were recorded from the decoder that still merged equal LLR and
+    partial-sum rows, which saved no f or g element."""
+    count = [0]
+    for name in ("f", "g"):
+        kernel = getattr(QuantDomain, name)
+
+        def counted(self, *args, kernel=kernel):
+            out = kernel(self, *args)
+            count[0] += out.size
+            return out
+        monkeypatch.setattr(QuantDomain, name, counted)
+    for (kind, N, k, crc, L, F), (want_fg, want_stats) in FG_VOLUME.items():
+        spec = construct_code(N, k, "bhattacharyya", 0.5,
+                              crc=CrcSpec(crc) if crc else None)
+        rng = np.random.default_rng(N + F)
+        llrs = np.array([noisy_llrs(spec, rng)[1] for _ in range(F)])
+        count[0] = 0
+        res = decode_batch(llrs, spec, kind, L=L)
+        assert (count[0], res.stats) == (want_fg, want_stats), (kind, N)
 
 
 def test_memory_summary_stride3_formula():

@@ -44,9 +44,9 @@ def test_tracer_installs_records_and_unwraps():
 
 
 def test_single_path_reads_still_pass_through_the_store():
-    """At L=1 every LLR map is the identity, and the store returns its
-    banks without deduplicating; the reads must still go through
-    ``PathStore.read``, where the tracer counts them."""
+    """Each bank holds one row per path, so at L=1 one row per frame; the
+    reads must still go through ``PathStore.read``, where the tracer
+    counts them."""
     tracing = load_tracing()
     tracer = tracing.Tracer()
     try:
