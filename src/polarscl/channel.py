@@ -114,6 +114,10 @@ def run_fer(spec, profile, snr_db, seed=20260819, L=None,
     if max_errors < 1:
         raise ValueError("max_errors must be at least 1, got %r" % (max_errors,))
     snrs = np.atleast_1d(np.asarray(snr_db, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(snrs))
+    if len(bad):
+        raise ValueError("Es/N0 point %d is not finite: %r"
+                         % (bad[0], float(snrs[bad[0]])))
     points = []
     for si, snr in enumerate(snrs):
         cfg = ChannelConfig(float(snr))

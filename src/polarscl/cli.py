@@ -223,6 +223,9 @@ def cmd_latency(args):
     profile = cfg.build_profile()
     arch = cfg.build_arch()
     trace = schedule_trace(spec, profile, L=cfg.list_size())
+    if trace.L > 1 and trace.L not in dict(arch.sort_latency):
+        raise ConfigError("[arch] sort_latency has no entry for list size %d"
+                          % trace.L)
     rep = latency(trace, arch)
     print("N = %d" % spec.N)
     print("k = %d" % spec.k)

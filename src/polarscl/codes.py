@@ -161,6 +161,9 @@ class CodeSpec:
         self.payload_positions = np.array(
             [p for p in nonfrozen if p not in drop], dtype=int)
         self.payload_len = len(self.payload_positions)
+        if not self.payload_len:
+            raise ValueError("CRC and parity bits leave no payload position "
+                             "(k=%d)" % self.k)
         if self.good_mask[self.crc_positions].any() or \
            self.good_mask[self.parity_positions].any():
             raise ValueError("good bits must be payload positions")
@@ -249,6 +252,9 @@ def gaussian_approx_profile(N, design_snr_db):
     BPSK dimensions; the root mean LLR is 4 * 10^(snr/10).
     """
     _block_log(N)
+    if not math.isfinite(design_snr_db):
+        raise ValueError("design Es/N0 must be finite, got %r"
+                         % (design_snr_db,))
     m = np.array([4.0 * 10.0 ** (design_snr_db / 10.0)], dtype=float)
     while len(m) < N:
         out = np.empty(2 * len(m), dtype=float)

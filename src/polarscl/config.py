@@ -279,15 +279,10 @@ class RunConfig:
             raise ConfigError("[decoder] %s" % e)
 
     def build_arch(self):
-        a = self.sections["arch"]
-        return ArchParams(pe_count_serial=a["pe_count_serial"],
-                          parallel_threshold=a["parallel_threshold"],
-                          parallel_unit_latency=a["parallel_unit_latency"],
-                          cycles_per_pe_pass=a["cycles_per_pe_pass"],
-                          sort_latency=a["sort_latency"],
-                          sort_initiation_interval=a["sort_initiation_interval"],
-                          f_clk_hz=a["f_clk_hz"],
-                          num_cores=a["num_cores"])
+        try:
+            return ArchParams(**self.sections["arch"])
+        except ValueError as e:
+            raise ConfigError("[arch] %s" % e)
 
     def list_size(self):
         return self.sections["decoder"]["l"]

@@ -23,6 +23,7 @@ Pricing rules:
     is W chained 1-bit splits), so its event carries a sort count.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 PE = "pe"
@@ -61,6 +62,24 @@ class ArchParams:
     sort_initiation_interval: int = 1
     f_clk_hz: float = 1.0e9
     num_cores: int = 5
+
+    def __post_init__(self):
+        for name in ("pe_count_serial", "parallel_threshold",
+                     "cycles_per_pe_pass", "sort_initiation_interval",
+                     "num_cores"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, getattr(self, name)))
+        if self.parallel_unit_latency < 0:
+            raise ValueError("parallel_unit_latency must not be negative, "
+                             "got %r" % (self.parallel_unit_latency,))
+        for size, cyc in self.sort_latency:
+            if cyc < 0:
+                raise ValueError("sort_latency of list size %r must not be "
+                                 "negative, got %r" % (size, cyc))
+        if not (math.isfinite(self.f_clk_hz) and self.f_clk_hz > 0):
+            raise ValueError("f_clk_hz must be finite and positive, got %r"
+                             % (self.f_clk_hz,))
 
     def sort_latency_for(self, list_size):
         for size, cyc in self.sort_latency:

@@ -9,11 +9,12 @@ paths. Four architectural mechanisms are modeled bit-accurately:
     changes no value, so the software keeps every stage and computes each
     node once; the stride shows only in the cycle trace (``schedule_trace``),
     ``llr_memory_summary`` and the LLR copy counters;
-  * address-map path cloning: every bank holds one row per active path,
-    and each path reaches its row of every stage through an address map,
-    so surviving a pruning sort gathers map rows instead of copying bank
-    words; the element counters report what copying the banks of each
-    clone would have cost;
+  * address-map path cloning: every bank holds one row per active path
+    (the channel, at stage n, one row per frame), and each path reaches
+    its row of every stage through an address map, so surviving a pruning
+    sort gathers map rows instead of copying bank words; the element
+    counters report what copying the banks of each clone would have cost,
+    read from the plan's per-step word masks;
   * multi-bit leaf decisions: ``leaf_width`` leaves are decided per step by
     expanding every free-bit pattern of every path and pruning once, which
     this module keeps exactly equivalent to bit-serial processing because
@@ -67,6 +68,12 @@ class DecoderProfile:
     stage5_replicas: int = 0
 
     def __post_init__(self):
+        if self.l_max < 1 or self.l_max & (self.l_max - 1):
+            raise ValueError("l_max must be a power of two, got %r"
+                             % (self.l_max,))
+        if self.semi_parallel_group < 1:
+            raise ValueError("semi_parallel_group must be at least 1, got %r"
+                             % (self.semi_parallel_group,))
         if self.selection not in SELECTIONS:
             raise ValueError("unknown selection %r (have: %s)"
                              % (self.selection, ", ".join(SELECTIONS)))
@@ -163,27 +170,19 @@ def llr_memory_summary(n, profile, L=None):
 class PathStore:
     """Per-stage LLR / partial-sum banks of every path, behind address maps.
 
-    Every write replaces the stage-t bank of every active path at once: it
+    Stages run from 0 to n; the stage-n LLR bank is the channel. Every
+    write replaces the stage-t bank of the first len(vals) paths at once: it
     stores one row per path as a fresh array, and a path's address is its
     row in that array (column t of the kind's map). Cloning copies no bank
     contents: ``reassign`` is one gather of both maps, after which a clone
     and its parent share the rows of every bank written so far (Tal and
-    Vardy's lazy copy). The element counters report what physically
-    copying the banks would cost in the modeled layout: each clone copies
-    the 2^t words of every stage written so far, where an LLR stage counts
-    only if the hardware stores it (t a multiple of ``stride``), whatever
-    banks the software keeps.
+    Vardy's lazy copy).
     """
 
-    def __init__(self, n, rows, stride):
-        self.stride = stride
+    def __init__(self, n, rows):
         self.banks = {}
-        self.maps = np.zeros((rows, 2, n), dtype=np.int64)
+        self.maps = np.zeros((rows, 2, n + 1), dtype=np.int64)
         self.map = {"llr": self.maps[:, 0], "ps": self.maps[:, 1]}
-        self.words = {"llr": 0, "ps": 0}
-        self.clone_events = 0
-        self.llr_element_copies = 0
-        self.ps_element_copies = 0
 
     def read(self, kind, t, rows):
         """The stage-t bank of a kind ('llr' or 'ps') and the row of each of
@@ -191,28 +190,13 @@ class PathStore:
         return self.banks[(kind, t)], self.map[kind][:rows, t]
 
     def write(self, kind, t, vals):
-        """Replace the stage-t bank of the active paths; row i of vals
-        belongs to path i."""
-        if (kind, t) not in self.banks and (kind == "ps" or t % self.stride == 0):
-            self.words[kind] += 1 << t
+        """Replace the stage-t bank; row i of vals belongs to path i."""
         self.banks[(kind, t)] = vals
         self.map[kind][:len(vals), t] = np.arange(len(vals))
 
     def reassign(self, parents):
-        """Survivor i inherits the banks of path parents[i] (clone step);
-        parents are sorted, so each repeat is one clone."""
-        clones = int(np.count_nonzero(parents[1:] == parents[:-1]))
-        self.clone_events += clones
-        self.llr_element_copies += clones * self.words["llr"]
-        self.ps_element_copies += clones * self.words["ps"]
+        """Survivor i inherits the banks of path parents[i] (clone step)."""
         self.maps[:len(parents)] = self.maps[parents]
-
-    def stats(self):
-        return {
-            "clone_events": self.clone_events,
-            "llr_element_copies": self.llr_element_copies,
-            "ps_element_copies": self.ps_element_copies,
-        }
 
 
 # -- static schedule -----------------------------------------------------------
@@ -227,13 +211,14 @@ class Step:
     t: int
     v: int
     acc_updates: list        # (constraint idx, source offsets inside this span)
-    has_tail: bool           # the last step: its decisions are the tail
     is_prefix: bool = False  # the skipped all-frozen head of the schedule
     kinds: np.ndarray = None     # block: the kind of each leaf
     parity_leaves: dict = None   # block: leaf offset -> (constraint idx, earlier source offsets)
     free: int = 0            # block: free leaves, each doubles the paths
     src: int = 0             # stage read first: the first node's parent, or the channel (n)
     chain: tuple = ()        # (t, v) nodes computed (f for even v, g for odd), top down
+    llr_words: int = 0       # bit s: this or an earlier chain wrote LLR stage s
+    ps_words: int = 0        # bit s: an earlier step wrote partial-sum stage s
 
 
 def _build_plan(spec, profile):
@@ -271,6 +256,7 @@ def _build_plan(spec, profile):
         fz, gd = fz[0::2] & fz[1::2], gd[0::2] & gd[1::2]
 
     steps, chain = [], []
+    llr_words = ps_words = 0
     # Depth-first in natural leaf order, on an explicit stack: a recursive
     # closure would hold the plan in a reference cycle until the cyclic GC.
     stack = [(n, 0)]
@@ -278,24 +264,27 @@ def _build_plan(spec, profile):
         t, v = stack.pop()
         if t < n:
             chain.append((t, v))
+            llr_words |= 1 << t
+            # An odd node's sibling is done: its partial sums are in bank t.
+            ps_words |= (v & 1) << t
         start, width = v << t, 1 << t
-        tail = start + width == N
         special = width <= profile.max_special_node
         # The walk meets (n, 0), (n-1, 0), ... first, so the first all-frozen
         # head node is the largest aligned all-frozen prefix of the schedule.
         head = v == 0 and profile.skip_frozen_prefix
         if (special or head) and frozen[t][v]:
-            step = Step("rate0", t, v, [], tail, is_prefix=head)
+            step = Step("rate0", t, v, [], is_prefix=head)
         elif special and good[t][v]:
-            step = Step("rate1", t, v, span_updates(start, width, False)[0], tail)
+            step = Step("rate1", t, v, span_updates(start, width, False)[0])
         elif t == w:
             ups, leaves = span_updates(start, width, True)
-            step = Step("block", t, v, ups, tail, kinds=blocks[v],
+            step = Step("block", t, v, ups, kinds=blocks[v],
                         parity_leaves=leaves, free=free[v])
         else:
             stack += [(t - 1, 2 * v + 1), (t - 1, 2 * v)]
             continue
         step.chain, step.src = tuple(chain), chain[0][0] + 1 if chain else n
+        step.llr_words, step.ps_words = llr_words, ps_words
         steps.append(step)
         chain = []
     return steps, w
@@ -442,16 +431,14 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
     serial path index for tie-breaking. With F > 1 the entry paths belong to F equally sized
     independent frames (lockstep batch) and pruning keeps L per frame.
 
-    Returns (parents, pattern values, metrics, peak candidate count,
-    number of pruning sorts); parents refer to the paths at block entry.
+    Returns (parents, pattern values, metrics); parents refer to the
+    paths at block entry.
     """
     W = 1 << w
     full = _llr_tensor(vals, w, domain)           # (rows, 2^W, W)
     parent = np.arange(len(pm))
     value = np.zeros(len(pm), dtype=np.int64)
     cur = np.asarray(pm, dtype=domain.pm_dtype)
-    peak = len(pm)
-    n_sorts = 0
     for j in range(W):
         # undecided suffix = 0 in the pattern index
         llr = full[parent, value << (W - j), j]
@@ -462,20 +449,17 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
             # (paths, 2) metrics of the bit-0 and bit-1 children
             both = domain.pm_add(cur[:, None],
                                  np.where(hd[:, None] != _S01, pj[:, None], 0))
-            peak = max(peak, 2 * len(parent))
             if len(parent) == F and L == 1:
                 # One path per frame: pruning is the hard comparison, ties
                 # to bit 0 like the stable sort.
                 bit = both[:, 1] < both[:, 0]
                 cur = np.where(bit, both[:, 1], both[:, 0])
                 value = (value << 1) | bit
-                n_sorts += 1
             elif 2 * len(parent) > L * F:
                 sel = _prune_order(both.ravel(), L, F)
                 half = sel >> 1
                 parent, cur = parent[half], both.ravel()[sel]
                 value = (value[half] << 1) | (sel & 1)
-                n_sorts += 1
                 if L >= 2:
                     cur = domain.pm_normalize(cur.reshape(F, L)).reshape(-1)
             else:
@@ -494,7 +478,20 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
                 req = req ^ (((value >> (j - 1 - o)) & 1) != 0)
             cur = domain.pm_add(cur, np.where(req != hd, pj, 0))
             value = (value << 1) | req
-    return parent, value, cur, peak, n_sorts
+    return parent, value, cur
+
+
+def _leaf_counts(paths, free, L):
+    """(peak candidates, kept paths, pruning sorts) of a leaf block entered
+    with ``paths`` paths per frame: each free leaf doubles the paths, and
+    past L one sort prunes them back."""
+    peak, sorts = paths, 0
+    for _ in range(free):
+        paths *= 2
+        peak = max(peak, paths)
+        if paths > L:
+            paths, sorts = L, sorts + 1
+    return peak, paths, sorts
 
 
 def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
@@ -523,8 +520,10 @@ def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
     if len(pms) != len(vals):
         raise ValueError("one metric per path required")
     w = W.bit_length() - 1
-    parent, value, pm, peak, n_sorts = _block_candidates(
-        pms, vals, kinds, {}, None, domain, w, L_target)
+    parent, value, pm = _block_candidates(pms, vals, kinds, {}, None, domain,
+                                          w, L_target)
+    peak, _kept, n_sorts = _leaf_counts(len(pms), int((kinds == FREE).sum()),
+                                        L_target)
     return {
         "parent": parent,
         "bits": _pattern_tables(W)[value],
@@ -604,18 +603,14 @@ class _ListDecoder:
         self.domain = domain
         self.n, self.N = spec.n, spec.N
         self.steps, self.w = _plan_for(spec, profile)
-        R = L * frames
-        self.store = PathStore(self.n, R, profile.storage_stride)
+        self.store = PathStore(self.n, L * frames)
         ncon = len(spec.pc.constraints) if spec.pc is not None else 0
-        self.pc_acc = np.zeros((R, max(ncon, 1)), dtype=np.uint8)
-        # The final step's decisions only cascade upward, never into the
-        # per-stage banks below it, so the tail register spans that whole
-        # step (one leaf block, or a wider forced subtree).
-        self.tail_bits = np.zeros((R, 1 << self.steps[-1].t), dtype=np.uint8)
+        self.pc_acc = np.zeros((frames, ncon), dtype=np.uint8)
         self.pm = np.zeros(frames, dtype=domain.pm_dtype)
-        self.L_act = 1              # active paths per frame (lockstep)
-        self.rows = frames          # total active path rows = F * L_act
-        self._frame_ids = np.arange(frames)
+        self.rows = frames          # active path rows, as many per frame
+        # Bit t set for each LLR stage t the hardware stores (see Step).
+        self.stored = llr_memory_summary(self.n, profile)["per_path_entries"]
+        self.clone_events = self.llr_copies = self.ps_copies = 0
 
     # ---- bank access ----
 
@@ -627,10 +622,7 @@ class _ListDecoder:
     def _vecs(self, step):
         """The LLR vector of each active path at the step's node, computed
         down the plan's recompute chain from its first node's parent."""
-        if step.src == self.n:
-            vals = np.repeat(self.chan, self.L_act, axis=0)
-        else:
-            vals = self._rows("llr", step.src)
+        vals = self._rows("llr", step.src)
         for t, v in step.chain:
             h = 1 << t
             if v & 1 == 0:
@@ -654,63 +646,55 @@ class _ListDecoder:
 
     # ---- survivor bookkeeping ----
 
-    def _apply_parents(self, parents):
-        if len(parents) == self.rows and \
-           np.array_equal(parents, np.arange(self.rows)):
+    def _apply_parents(self, parents, step):
+        """Survivor i continues path parents[i]. Parents are sorted, so each
+        repeat is a clone, copying the step's masks in words (stage t holds
+        2^t), and with no clone and no new row they are the identity."""
+        clones = int(np.count_nonzero(parents[1:] == parents[:-1]))
+        if not clones and len(parents) == self.rows:
             return
+        self.rows = len(parents)
+        self.clone_events += clones
+        self.llr_copies += clones * (step.llr_words & self.stored)
+        self.ps_copies += clones * step.ps_words
         self.store.reassign(parents)
-        k = len(parents)
-        self.pc_acc[:k] = self.pc_acc[parents]
-        self.tail_bits[:k] = self.tail_bits[parents]
+        self.pc_acc = self.pc_acc[parents]
 
-    # ---- step processors ----
+    # ---- one schedule step ----
 
-    def _block(self, step):
-        parents, kept_value, pm, _peak, _sorts = _block_candidates(
-            self.pm, self._vecs(step), step.kinds, step.parity_leaves,
-            self.pc_acc, self.domain, self.w, self.L, self.F)
-        W = 1 << self.w
-        kept_bits = _pattern_tables(W)[kept_value]
-        self._apply_parents(parents)
-        keep = len(parents)
-        self.L_act = keep // self.F
-        self.rows = keep
-        self.pm = pm
+    def _step(self, step):
+        vals = self._vecs(step)
+        if step.kind == "block":
+            parents, value, self.pm = _block_candidates(
+                self.pm, vals, step.kinds, step.parity_leaves, self.pc_acc,
+                self.domain, self.w, self.L, self.F)
+            self._apply_parents(parents, step)
+            W = 1 << self.w
+            bits, beta = _pattern_tables(W)[value], _pattern_sums(W)[value]
+        else:
+            bits, beta, pens = _forced_eval(vals, step.kind, step.t,
+                                            self.domain)
+            self.pm = self.domain.pm_fold(self.pm, pens)
         for ci, offs in step.acc_updates:
-            self.pc_acc[:keep, ci] ^= np.bitwise_xor.reduce(kept_bits[:, offs],
-                                                            axis=1)
-        if step.has_tail:
-            self.tail_bits[:keep] = kept_bits
-        self._write_beta(self.w, step.v, _pattern_sums(W)[kept_value])
-
-    def _special(self, step):
-        bits, beta, pens = _forced_eval(self._vecs(step), step.kind, step.t,
-                                        self.domain)
-        self.pm = self.domain.pm_fold(self.pm, pens)
-        for ci, offs in step.acc_updates:
-            self.pc_acc[:self.rows, ci] ^= np.bitwise_xor.reduce(
-                bits[:, offs], axis=1)
-        if step.has_tail:
-            self.tail_bits[:self.rows] = bits
+            self.pc_acc[:, ci] ^= np.bitwise_xor.reduce(bits[:, offs], axis=1)
+        # The final step's decisions only cascade upward, never into the
+        # per-stage banks below it, so the last step's bits are the tail.
+        self.tail = bits
         self._write_beta(step.t, step.v, beta)
 
     # ---- top level ----
 
     def run(self, chan):
-        self.chan = chan
+        self.store.write("llr", self.n, chan)
         for step in self.steps:
-            if step.kind == "block":
-                self._block(step)
-            else:
-                self._special(step)
+            self._step(step)
         return self._finalize()
 
     def _finalize(self):
-        rows, F, c = self.rows, self.F, self.L_act
-        tw = self.tail_bits.shape[1]
+        F, c = self.F, self.rows // self.F
         U = recover_from_partial_sums(
-            [self._rows("ps", t) for t in range(tw.bit_length() - 1, self.n)],
-            self.tail_bits[:rows])
+            [self._rows("ps", t) for t in range(self.steps[-1].t, self.n)],
+            self.tail)
         crc_ok = None
         if self.spec.crc is not None:
             crc_ok = crc_check_rows(crc_sequence(U, self.spec), self.spec.crc)
@@ -722,7 +706,7 @@ class _ListDecoder:
             okF = crc_ok.reshape(F, c)
             masked = np.where(okF, pmF.astype(np.float64), np.inf)
             idx = np.where(okF.any(axis=1), np.argmin(masked, axis=1), idx)
-        sel = self._frame_ids * c + idx
+        sel = np.arange(F) * c + idx
         u_hat = U[sel]
         return BatchResult(
             u_hat=u_hat,
@@ -734,7 +718,9 @@ class _ListDecoder:
             survivors_pm=self.pm.reshape(F, c).copy(),
             survivors_crc=crc_ok.reshape(F, c) if crc_ok is not None else None,
             trace=None,
-            stats=dict(self.store.stats(), list_size=c),
+            stats=dict(clone_events=self.clone_events,
+                       llr_element_copies=self.llr_copies,
+                       ps_element_copies=self.ps_copies, list_size=c),
         )
 
 
@@ -786,12 +772,7 @@ def schedule_trace(spec, profile, L=None):
         if step.kind != "block":
             trace.special(step.kind, step.t, paths, step.is_prefix)
             continue
-        peak, sorts = paths, 0
-        for _ in range(step.free):
-            paths *= 2
-            peak = max(peak, paths)
-            if paths > L:
-                paths, sorts = L, sorts + 1
+        peak, paths, sorts = _leaf_counts(paths, step.free, L)
         trace.leaf(w, peak, paths, sorts)
     return trace
 
@@ -851,6 +832,9 @@ def decode_batch(chan_llrs, spec, profile, L=None, arithmetic="quantized",
     else:
         raise ValueError("arithmetic must be 'quantized' or 'float'")
     x = np.asarray(chan_llrs)
+    if x.dtype.kind not in "biuf":
+        raise ValueError("channel LLRs must be real numbers, got dtype %s"
+                         % x.dtype)
     if x.ndim != 2 or x.shape[1] != spec.N or not len(x):
         raise ValueError("expected (frames, %d) channel LLRs, got shape %r"
                          % (spec.N, x.shape))

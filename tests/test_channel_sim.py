@@ -149,3 +149,18 @@ def test_compare_curves_gap():
     out = compare_curves(a, b, 1e-2)
     assert out["gap_db"] == pytest.approx(0.5)
     assert out["snr_b_db"] - out["snr_a_db"] == pytest.approx(out["gap_db"])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_run_fer_rejects_non_finite_snr_before_drawing_frames(monkeypatch,
+                                                              bad):
+    import polarscl.channel as channel
+
+    def no_frames(*args):
+        raise AssertionError("a frame was drawn")
+
+    monkeypatch.setattr(channel, "frame_rng", no_frames)
+    spec = construct_code(32, 16)
+    with pytest.raises(ValueError,
+                       match=r"Es/N0 point 1 is not finite: %s" % bad):
+        run_fer(spec, "sc", [2.0, bad], max_frames=4)

@@ -273,3 +273,41 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert spec_path.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "pe_count_serial=0", "parallel_threshold=0", "cycles_per_pe_pass=0",
+    "sort_initiation_interval=0", "num_cores=0", "parallel_unit_latency=-1",
+    "sort_latency=1:0 8:-2", "f_clk_hz=0", "f_clk_hz=nan",
+])
+def test_latency_rejects_bad_arch_settings_before_printing(capsys, setting):
+    assert main(["latency", "--set", "arch." + setting, "-q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: [arch] " + setting.split("=")[0] in err
+
+
+def test_latency_needs_a_sort_latency_for_the_list_size(capsys):
+    assert main(["latency", "--set", "arch.sort_latency=1:0 2:2 4:6",
+                 "-L", "8", "-q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[arch] sort_latency has no entry for list size 8" in err
+    assert main(["latency", "--set", "arch.sort_latency=2:2", "-L", "1",
+                 "--set", "code.n=64", "--set", "code.k=32", "-q"]) == 0
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["code.method=gaussian_approx", "code.design_param=nan"],
+     "design Es/N0 must be finite"),
+    (["code.n=64", "code.k=8", "code.crc_width=8"],
+     "leave no payload position"),
+])
+def test_bad_code_settings_are_config_errors(capsys, settings, message):
+    args = ["latency", "-q"]
+    for s in settings:
+        args += ["--set", s]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: [code] " in err and message in err

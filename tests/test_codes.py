@@ -127,6 +127,25 @@ def test_phi_inv_early_exit_is_bit_identical(monkeypatch):
             assert fast == full, (snr, N)
 
 
+@pytest.mark.parametrize("snr", [float("nan"), float("inf"), -float("inf")])
+def test_gaussian_approx_rejects_non_finite_design_snr(snr):
+    with pytest.raises(ValueError, match="design Es/N0 must be finite"):
+        gaussian_approx_profile(64, snr)
+    with pytest.raises(ValueError, match="design Es/N0 must be finite"):
+        construct_code(64, 32, method="gaussian_approx", design_param=snr)
+
+
+def test_layout_without_payload_is_rejected():
+    with pytest.raises(ValueError, match="leave no payload position"):
+        construct_code(64, 8, crc=CrcSpec(8))
+    base = construct_code(64, 10, crc=CrcSpec(8))
+    first, second = (int(p) for p in base.nonfrozen_positions[:2])
+    with pytest.raises(ValueError, match="leave no payload position"):
+        construct_code(64, 10, crc=CrcSpec(8),
+                       pc=ParityCheckSpec([(first, []), (second, [first])]))
+    assert construct_code(64, 9, crc=CrcSpec(8)).payload_len == 1
+
+
 def test_external_sequence_construction(tmp_path):
     # reliability sequence listing indices from least to most reliable
     rng = np.random.default_rng(3)

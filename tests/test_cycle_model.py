@@ -242,3 +242,28 @@ def test_calibrate_sort_latency_consistent_with_schedule():
         table = tuple((s, cyc if s == 8 else c) for s, c in arch.sort_latency)
         redo = double_package(trace, trace, replace(arch, sort_latency=table))
         assert redo["ratio_vs_single"] == pytest.approx(ratio)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pe_count_serial", 0, "pe_count_serial must be at least 1"),
+    ("parallel_threshold", 0, "parallel_threshold must be at least 1"),
+    ("cycles_per_pe_pass", 0, "cycles_per_pe_pass must be at least 1"),
+    ("sort_initiation_interval", 0,
+     "sort_initiation_interval must be at least 1"),
+    ("num_cores", 0, "num_cores must be at least 1"),
+    ("parallel_unit_latency", -1, "parallel_unit_latency must not be negative"),
+    ("sort_latency", ((1, 0), (8, -3)),
+     "sort_latency of list size 8 must not be negative"),
+    ("f_clk_hz", 0.0, "f_clk_hz must be finite and positive"),
+    ("f_clk_hz", float("nan"), "f_clk_hz must be finite and positive"),
+    ("f_clk_hz", float("inf"), "f_clk_hz must be finite and positive"),
+])
+def test_arch_params_reject_values_the_model_cannot_price(field, value,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        ArchParams(**{field: value})
+
+
+def test_arch_params_accept_zero_latencies():
+    arch = ArchParams(parallel_unit_latency=0, sort_latency=((1, 0), (2, 0)))
+    assert arch.sort_latency_for(2) == 0

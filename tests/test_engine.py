@@ -6,7 +6,7 @@ import pytest
 
 from polarscl import reference
 from polarscl.codes import (
-    CrcSpec, build_message, construct_code, polar_transform,
+    CrcSpec, ParityCheckSpec, build_message, construct_code, polar_transform,
 )
 from polarscl.config import load_config
 from polarscl.engine import (
@@ -322,10 +322,25 @@ def test_leaf_width_above_the_limit_is_rejected():
         profile_for("flexible", leaf_width=16, n_max_log=14)
 
 
+def pc_good_code(N):
+    """The schedule-trace grid's second code kind: a CRC8, two parity
+    constraints and good bits."""
+    crc = CrcSpec(8)
+    base = construct_code(N, N // 2, "bhattacharyya", 0.5, crc=crc)
+    targets = base.nonfrozen_positions[:N // 2 - crc.width][-2:]
+    pc = ParityCheckSpec([(int(p), sorted({0, int(p) // 2})) for p in targets])
+    return construct_code(N, N // 2, "bhattacharyya", 0.5, crc=crc, pc=pc,
+                          good_threshold=0.3)
+
+
 def clone_counters(kind, L, leaf_width, N, crc, **overrides):
+    """crc is a CRC width (0 for none), or "pc+good" for pc_good_code."""
     rng = np.random.default_rng(N + L)
-    spec = construct_code(N, N // 2, method="bhattacharyya", design_param=0.5,
-                          crc=CrcSpec(crc) if crc else None)
+    if crc == "pc+good":
+        spec = pc_good_code(N)
+    else:
+        spec = construct_code(N, N // 2, method="bhattacharyya",
+                              design_param=0.5, crc=CrcSpec(crc) if crc else None)
     llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(2)])
     prof = profile_for(kind, leaf_width=leaf_width, **overrides)
     stats = decode_batch(llrs, spec, prof, L=L).stats
@@ -350,6 +365,12 @@ def test_clone_counters_pinned(kind, L, leaf_width, N, crc, want):
     ("flexible", 8, 4, 256, 8, 1, (99, 24948, 16876)),
     ("flexible", 8, 4, 256, 8, 4, (99, 1584, 16876)),
     ("ultra", 32, 2, 128, 0, 2, (385, 32340, 37566)),
+    ("flexible", 8, 4, 128, "pc+good", 1, (90, 11160, 8856)),
+    ("flexible", 8, 4, 128, "pc+good", 2, (90, 7560, 8856)),
+    ("flexible", 8, 4, 128, "pc+good", 3, (90, 6480, 8856)),
+    ("flexible", 8, 4, 128, "pc+good", 4, (90, 1440, 8856)),
+    ("ultra", 32, 2, 128, "pc+good", 2, (355, 29820, 34810)),
+    ("ultra", 32, 2, 128, "pc+good", 4, (355, 5680, 34810)),
 ])
 def test_clone_counters_pinned_at_other_strides(kind, L, leaf_width, N, crc,
                                                 stride, want):
@@ -538,3 +559,32 @@ def test_list_size_validation():
         decode(np.ones(64), spec, prof, L=16)  # beyond l_max
     with pytest.raises(ValueError):
         decode(np.ones(32), spec, prof, L=8)  # llr length mismatch
+
+
+@pytest.mark.parametrize("values, dtype", [
+    (np.ones((1, 16)) + 0j, "complex128"),
+    (np.ones((1, 16), dtype=object), "object"),
+    (np.full((1, 16), "1.0"), "<U3"),
+])
+def test_decode_batch_rejects_non_real_dtypes(values, dtype):
+    spec = construct_code(16, 8)
+    with pytest.raises(ValueError, match="got dtype %s" % dtype):
+        decode_batch(values, spec, "flexible", L=2)
+    with pytest.raises(ValueError, match="got dtype %s" % dtype):
+        decode(values[0], spec, "flexible", L=2)
+
+
+def test_decode_batch_accepts_bool_as_zero_one_llrs():
+    spec = construct_code(16, 8)
+    bits = np.random.default_rng(2).integers(0, 2, (2, 16)).astype(bool)
+    got = decode_batch(bits, spec, "flexible", L=2)
+    want = decode_batch(bits.astype(float), spec, "flexible", L=2)
+    assert np.array_equal(got.u_hat, want.u_hat)
+
+
+def test_profile_rejects_bad_list_maximum_and_group():
+    for l_max in (0, 3, 6):
+        with pytest.raises(ValueError, match="l_max must be a power of two"):
+            profile_for("flexible", l_max=l_max)
+    with pytest.raises(ValueError, match="semi_parallel_group must be at least 1"):
+        profile_for("ultra", semi_parallel_group=0)
