@@ -99,73 +99,58 @@ class ParityCheckSpec:
 
 
 class CodeSpec:
-    """A constructed polar code plus its attachments.
+    """A polar code's layout, validated once when it is built.
 
     Fields: N (block length), n = log2(N), k (number of non-frozen
     positions, CRC and parity included), frozen_mask / good_mask (bool,
-    length N), reliability (float, length N, higher = more reliable),
-    crc (CrcSpec or None), pc (ParityCheckSpec or None), method and
-    design_param record how the code was constructed.
+    length N), crc (CrcSpec or None), pc (ParityCheckSpec or None) and the
+    position arrays derived from them. method, design_param and sequence
+    record how the layout was constructed, for save_code_spec to write back.
     """
 
-    def __init__(self, N, frozen_mask, reliability=None, good_mask=None,
-                 crc=None, pc=None, method="manual", design_param=None,
-                 sequence=None):
-        n = _block_log(N)
-        frozen_mask = np.asarray(frozen_mask, dtype=bool)
-        if frozen_mask.shape != (N,):
-            raise ValueError("frozen_mask must have length N")
+    def __init__(self, N, frozen_mask, good_mask=None, crc=None, pc=None,
+                 method="manual", design_param=None, sequence=None):
         self.N = int(N)
-        self.n = n
+        self.n = _block_log(N)
+        frozen_mask = np.asarray(frozen_mask, dtype=bool)
+        if good_mask is None:
+            good_mask = np.zeros(N, dtype=bool)
+        good_mask = np.asarray(good_mask, dtype=bool)
+        if frozen_mask.shape != (N,) or good_mask.shape != (N,):
+            raise ValueError("frozen_mask and good_mask must have length N")
         self.frozen_mask = frozen_mask
+        self.good_mask = good_mask
         self.k = int(N - np.count_nonzero(frozen_mask))
         if self.k < 1:
             raise ValueError("code must have at least one information position")
-        if reliability is None:
-            reliability = np.where(frozen_mask, 0.0, 1.0)
-        self.reliability = np.asarray(reliability, dtype=float)
-        if self.reliability.shape != (N,):
-            raise ValueError("reliability must have length N")
-        if good_mask is None:
-            good_mask = np.zeros(N, dtype=bool)
-        self.good_mask = np.asarray(good_mask, dtype=bool)
-        if np.any(self.good_mask & frozen_mask):
-            raise ValueError("good bits must be non-frozen")
         self.crc = crc
         self.pc = pc
         self.method = method
         self.design_param = design_param
         self.sequence = None if sequence is None else np.asarray(sequence, dtype=int)
-        self._validate_layout()
-        self._plan_cache = {}
 
-    # -- derived position sets ------------------------------------------------
-
-    def _validate_layout(self):
-        nonfrozen = np.flatnonzero(~self.frozen_mask)
+        nonfrozen = np.flatnonzero(~frozen_mask)
         self.nonfrozen_positions = nonfrozen
-        width = self.crc.width if self.crc is not None else 0
-        if width > self.k:
+        if self.crc_width > self.k:
             raise ValueError("CRC wider than the number of non-frozen positions")
-        self.crc_positions = nonfrozen[self.k - width:] if width else nonfrozen[:0]
-        if self.pc is not None:
-            ppos = np.asarray(self.pc.positions, dtype=int)
-            if np.any(self.frozen_mask[ppos]):
-                raise ValueError("parity positions must be non-frozen")
-            if np.intersect1d(ppos, self.crc_positions).size:
-                raise ValueError("parity positions collide with CRC positions")
-            self.parity_positions = ppos
-        else:
-            self.parity_positions = nonfrozen[:0]
-        drop = set(self.crc_positions.tolist()) | set(self.parity_positions.tolist())
-        self.payload_positions = np.array(
-            [p for p in nonfrozen if p not in drop], dtype=int)
+        self.crc_positions = nonfrozen[self.k - self.crc_width:]
+        ppos = np.asarray(pc.positions if pc is not None else (), dtype=int)
+        self.parity_positions = ppos
+        if np.any((ppos < 0) | (ppos >= N)):
+            raise ValueError("parity positions must lie in 0..%d" % (N - 1))
+        if np.any(frozen_mask[ppos]):
+            raise ValueError("parity positions must be non-frozen")
+        payload = ~frozen_mask
+        payload[self.crc_positions] = False
+        if not np.all(payload[ppos]):
+            raise ValueError("parity positions collide with CRC positions")
+        payload[ppos] = False
+        self.payload_positions = np.flatnonzero(payload)
         self.payload_len = len(self.payload_positions)
         if not self.payload_len:
             raise ValueError("CRC and parity bits leave no payload position "
                              "(k=%d)" % self.k)
-        if self.good_mask[self.crc_positions].any() or \
-           self.good_mask[self.parity_positions].any():
+        if np.any(good_mask & ~payload):
             raise ValueError("good bits must be payload positions")
 
     @property
@@ -272,8 +257,11 @@ def load_reliability_sequence(path, N):
     first, covering exactly 0..N-1.
     """
     with open(path) as fh:
-        seq = [int(tok) for tok in fh.read().split()]
-    return _sequence_to_array(seq, N)
+        text = fh.read()
+    try:
+        return _sequence_to_array([int(tok) for tok in text.split()], N)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (path, e)) from None
 
 
 def _sequence_to_array(seq, N):
@@ -320,20 +308,22 @@ def construct_code(N, k, method="bhattacharyya", design_param=None,
     order = np.lexsort((np.arange(N), reliability))
     frozen_mask = np.zeros(N, dtype=bool)
     frozen_mask[order[:N - k]] = True
-    spec = CodeSpec(N, frozen_mask, reliability=reliability, crc=crc, pc=pc,
-                    method=method, design_param=design_param, sequence=seq_arr)
+    layout = dict(crc=crc, pc=pc, method=method, design_param=design_param,
+                  sequence=seq_arr)
+    spec = CodeSpec(N, frozen_mask, **layout)
     if good_threshold:
-        spec.good_mask = good_bit_set(spec, good_threshold)
-        spec._validate_layout()
+        good = good_bit_set(spec, reliability, good_threshold)
+        spec = CodeSpec(N, frozen_mask, good, **layout)
     return spec
 
 
-def good_bit_set(spec, threshold):
+def good_bit_set(spec, reliability, threshold):
     """Mark the most reliable payload positions as good bits.
 
     threshold in [0,1] is the fraction of payload positions marked, with
-    half-up rounding of threshold * k'; reliability ties prefer the lower
-    index. Good bits are decoded by forced hard decision (no path split).
+    half-up rounding of threshold * k'; ties in reliability (the
+    construction's vector) prefer the lower index. Good bits are decoded
+    by forced hard decision (no path split).
     """
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("good-bit threshold must be in [0,1]")
@@ -341,7 +331,7 @@ def good_bit_set(spec, threshold):
     count = int(math.floor(threshold * len(cand) + 0.5))
     mask = np.zeros(spec.N, dtype=bool)
     if count:
-        order = np.lexsort((cand, -spec.reliability[cand]))
+        order = np.lexsort((cand, -reliability[cand]))
         mask[cand[order[:count]]] = True
     return mask
 
@@ -538,7 +528,9 @@ def save_code_spec(spec, dest):
 
 
 def load_code_spec(path):
-    """Read a code spec file written by save_code_spec."""
+    """Read a code spec file written by save_code_spec: the layout, as
+    saved. The construction it names is not rerun; method, design_param
+    and sequence are read back as provenance only."""
     fields = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -551,59 +543,60 @@ def load_code_spec(path):
             if key in fields:
                 raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
             fields[key] = val
-    try:
-        N = int(fields.pop("N"))
-        k = int(fields.pop("k"))
-        method = fields.pop("method")
-        frozen_idx = [int(t) for t in fields.pop("frozen").split()]
-    except KeyError as exc:
-        raise ValueError("%s: missing required key %s" % (path, exc)) from None
+    missing = [key for key in ("N", "k", "method", "frozen") if key not in fields]
+    if missing:
+        raise ValueError("%s: missing required key %r" % (path, missing[0]))
 
-    frozen_mask = np.zeros(N, dtype=bool)
-    frozen_mask[frozen_idx] = True
-    if N - len(frozen_idx) != k:
-        raise ValueError("%s: frozen list inconsistent with k" % path)
+    def take(key, parse, default=None):
+        if key not in fields:
+            return default
+        try:
+            return parse(fields.pop(key))
+        except ValueError as e:
+            raise ValueError("%s: %s: %s" % (path, key, e)) from None
 
+    N = take("N", lambda s: 1 << _block_log(int(s)))
+    k = take("k", int)
+    method = take("method", str)
+    frozen_mask = take("frozen", lambda s: _index_mask(s, N))
+    good = take("good", lambda s: _index_mask(s, N))
     crc = None
     if "crc_width" in fields:
-        crc = CrcSpec(int(fields.pop("crc_width")),
-                      int(fields.pop("crc_poly"), 16),
-                      int(fields.pop("crc_init", "0x0"), 16))
-    pc = None
-    if "pc" in fields:
-        constraints = []
-        for group in fields.pop("pc").split(";"):
-            head, _, tail = group.partition(":")
-            sources = [int(t) for t in tail.split(",") if t]
-            constraints.append((int(head), sources))
-        pc = ParityCheckSpec(constraints)
-
-    design_param = fields.pop("design_param", None)
-    sequence = fields.pop("sequence", None)
-    good = fields.pop("good", "")
+        crc = (take("crc_width", int), take("crc_poly", lambda s: int(s, 16)),
+               take("crc_init", lambda s: int(s, 16), 0))
+    pc = take("pc", _parity_spec)
+    design_param = take("design_param", float)
+    sequence = take("sequence", lambda s: _sequence_to_array(
+        [int(t) for t in s.split()], N))
     if fields:
         raise ValueError("%s: unknown keys %s" % (path, sorted(fields)))
+    if N - frozen_mask.sum() != k:
+        raise ValueError("%s: k = %d, but the frozen list leaves %d positions"
+                         % (path, k, N - frozen_mask.sum()))
+    try:
+        crc = CrcSpec(*crc) if crc else None
+        return CodeSpec(N, frozen_mask, good, crc=crc, pc=pc, method=method,
+                        design_param=design_param, sequence=sequence)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (path, e)) from None
 
-    if method == "bhattacharyya":
-        reliability = -bhattacharyya_profile(N, float(design_param))
-    elif method == "gaussian_approx":
-        reliability = gaussian_approx_profile(N, float(design_param))
-    elif method == "external_sequence":
-        seq = _sequence_to_array([int(t) for t in sequence.split()], N)
-        reliability = np.empty(N, dtype=float)
-        reliability[seq] = np.arange(N, dtype=float)
-        sequence = seq
-    else:
-        reliability = None
-        sequence = None
 
-    spec = CodeSpec(N, frozen_mask, reliability=reliability, crc=crc, pc=pc,
-                    method=method,
-                    design_param=None if design_param is None else float(design_param),
-                    sequence=sequence)
-    if good:
-        mask = np.zeros(N, dtype=bool)
-        mask[[int(t) for t in good.split()]] = True
-        spec.good_mask = mask
-        spec._validate_layout()
-    return spec
+def _index_mask(text, N):
+    """Bool mask of length N marking the whitespace-separated indices;
+    each must lie in 0..N-1 and be listed once."""
+    idx = np.array([int(t) for t in text.split()], dtype=int)
+    outside = idx[(idx < 0) | (idx >= N)]
+    if outside.size:
+        raise ValueError("index %d outside 0..%d" % (outside[0], N - 1))
+    counts = np.bincount(idx, minlength=N)
+    if np.any(counts > 1):
+        raise ValueError("index %d listed twice" % np.argmax(counts > 1))
+    return counts > 0
+
+
+def _parity_spec(text):
+    constraints = []
+    for group in text.split(";"):
+        head, _, tail = group.partition(":")
+        constraints.append((int(head), [int(t) for t in tail.split(",") if t]))
+    return ParityCheckSpec(constraints)

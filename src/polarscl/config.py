@@ -13,7 +13,7 @@ Grammar (INI-style, parsed with configparser; ``#`` and ``;`` comments):
     crc_poly = 0x864cfb       # hex, leading x^width term implicit; optional
     crc_init = 0x0
     parity = 12:3,7;40:20,33  # target:sources;... (u-domain indices)
-    sequence_file = seq.txt   # external_sequence only: one index per line
+    sequence_file = seq.txt   # external_sequence only: indices, least reliable first
 
     [quant]
     q_c = 6
@@ -245,18 +245,14 @@ class RunConfig:
             pc = ParityCheckSpec(list(c["parity"])) if c["parity"] else None
         except ValueError as e:
             raise ConfigError("[code] %s" % e)
-        seq = None
-        if c["method"] == "external_sequence":
-            if not c["sequence_file"]:
-                raise ConfigError("[code] method external_sequence needs "
-                                  "sequence_file")
-            with open(c["sequence_file"]) as f:
-                seq = [int(tok) for tok in f.read().split()]
+        if c["method"] == "external_sequence" and not c["sequence_file"]:
+            raise ConfigError("[code] method external_sequence needs "
+                              "sequence_file")
         try:
             return construct_code(c["n"], c["k"], method=c["method"],
                                   design_param=c["design_param"], crc=crc,
                                   pc=pc, good_threshold=c["good_threshold"],
-                                  sequence=seq)
+                                  sequence=c["sequence_file"] or None)
         except ValueError as e:
             raise ConfigError("[code] %s" % e)
 

@@ -24,6 +24,7 @@ Pricing rules:
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 PE = "pe"
@@ -74,9 +75,18 @@ class ArchParams:
             raise ValueError("parallel_unit_latency must not be negative, "
                              "got %r" % (self.parallel_unit_latency,))
         for size, cyc in self.sort_latency:
+            if not (isinstance(size, numbers.Integral) and size >= 1
+                    and isinstance(cyc, numbers.Integral)):
+                raise ValueError("sort_latency entries must be an integer "
+                                 "list size >= 1 and integer cycles, got "
+                                 "%r:%r" % (size, cyc))
             if cyc < 0:
                 raise ValueError("sort_latency of list size %r must not be "
                                  "negative, got %r" % (size, cyc))
+        sizes = [size for size, _cyc in self.sort_latency]
+        if len(set(sizes)) != len(sizes):
+            raise ValueError("sort_latency lists a list size twice: %s"
+                             % " ".join("%d:%d" % p for p in self.sort_latency))
         if not (math.isfinite(self.f_clk_hz) and self.f_clk_hz > 0):
             raise ValueError("f_clk_hz must be finite and positive, got %r"
                              % (self.f_clk_hz,))

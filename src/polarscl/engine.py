@@ -32,6 +32,7 @@ the cycle count) but never the arithmetic.
 """
 
 import functools
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -290,13 +291,17 @@ def _build_plan(spec, profile):
     return steps, w
 
 
+# Plans per spec, keyed by the profile fields they read; they go with it.
+_PLANS = weakref.WeakKeyDictionary()
+
+
 def _plan_for(spec, profile):
     key = (profile.leaf_width, profile.max_special_node,
            profile.skip_frozen_prefix)
-    plan = spec._plan_cache.get(key)
+    plans = _PLANS.setdefault(spec, {})
+    plan = plans.get(key)
     if plan is None:
-        plan = _build_plan(spec, profile)
-        spec._plan_cache[key] = plan
+        plan = plans[key] = _build_plan(spec, profile)
     return plan
 
 

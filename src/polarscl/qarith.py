@@ -46,6 +46,10 @@ class QuantProfile:
         for w in widths:
             if not (4 <= int(w) <= 16):
                 raise ValueError("quantizer width out of range: %r" % (w,))
+        stages = [s for s, _w in self.q_i_overrides]
+        if any(s < 0 for s in stages) or len(set(stages)) != len(stages):
+            raise ValueError("q_i_overrides needs distinct stages >= 0, got %s"
+                             % " ".join("%d:%d" % p for p in self.q_i_overrides))
         if not (self.channel_scale > 0):
             raise ValueError("channel_scale must be positive")
 

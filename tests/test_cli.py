@@ -278,7 +278,8 @@ def test_module_entry_point(tmp_path):
 @pytest.mark.parametrize("setting", [
     "pe_count_serial=0", "parallel_threshold=0", "cycles_per_pe_pass=0",
     "sort_initiation_interval=0", "num_cores=0", "parallel_unit_latency=-1",
-    "sort_latency=1:0 8:-2", "f_clk_hz=0", "f_clk_hz=nan",
+    "sort_latency=1:0 8:-2", "sort_latency=0:0 8:12", "sort_latency=8:3 8:40",
+    "f_clk_hz=0", "f_clk_hz=nan",
 ])
 def test_latency_rejects_bad_arch_settings_before_printing(capsys, setting):
     assert main(["latency", "--set", "arch." + setting, "-q"]) == 2
@@ -302,6 +303,8 @@ def test_latency_needs_a_sort_latency_for_the_list_size(capsys):
      "design Es/N0 must be finite"),
     (["code.n=64", "code.k=8", "code.crc_width=8"],
      "leave no payload position"),
+    (["code.n=16", "code.k=8", "code.crc_width=0", "code.parity=99:1"],
+     "parity positions must lie in 0..15"),
 ])
 def test_bad_code_settings_are_config_errors(capsys, settings, message):
     args = ["latency", "-q"]
@@ -311,3 +314,46 @@ def test_bad_code_settings_are_config_errors(capsys, settings, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert "config error: [code] " in err and message in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("arch.sort_latency=8:2.5", "bad value for [arch] sort_latency"),
+    ("quant.q_i_overrides=0:7 0:9", "[quant] q_i_overrides needs distinct"),
+    ("quant.q_i_overrides=-1:7", "[quant] q_i_overrides needs distinct"),
+])
+def test_bad_table_entries_are_config_errors(capsys, setting, message):
+    assert main(["latency", "--set", setting, "-q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: " + message in err
+
+
+def test_decode_rejects_a_bad_spec_file_without_traceback(tmp_path, capsys):
+    spec_path = tmp_path / "bad.spec"
+    spec_path.write_text("N = 16\nk = 8\nmethod = manual\n"
+                         "frozen = 0 1 2 3 4 5 6 6\n")
+    assert main(["decode", "--spec", str(spec_path), "-i", "/dev/null",
+                 "-q"]) == 1
+    assert capsys.readouterr().err == \
+        "error: %s: frozen: index 6 listed twice\n" % spec_path
+
+
+@pytest.mark.parametrize("profile", ["sc", "flexible"])
+def test_decode_spec_file_matches_decode_from_code_keys(tmp_path, profile):
+    keys = ["--set", "code.n=256", "--set", "code.k=136",
+            "--set", "code.crc_width=8", "--set", "code.design_param=1.5",
+            "--set", "code.good_threshold=0.25"]
+    spec_path = tmp_path / "code.spec"
+    assert main(["construct", "-o", str(spec_path), "-q"] + keys) == 0
+    rng = np.random.default_rng(11)
+    llrs = rng.normal(1.0, 1.6, (20, 256))
+    llr_path = tmp_path / "llrs.txt"
+    llr_path.write_text("".join(" ".join(repr(float(x)) for x in row) + "\n"
+                                for row in llrs))
+    outs = []
+    for code_args in (["--spec", str(spec_path)], keys):
+        out_path = tmp_path / ("out%d.txt" % len(outs))
+        assert main(["decode", "--profile", profile, "-i", str(llr_path),
+                     "-o", str(out_path), "-q"] + code_args) == 0
+        outs.append(out_path.read_text())
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 20

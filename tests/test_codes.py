@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -243,24 +245,83 @@ def test_encode_is_transform_of_message():
 def test_good_bit_set_threshold():
     spec = construct_code(256, 128, method="bhattacharyya", design_param=0.5,
                           good_threshold=1e-6)
-    good = good_bit_set(spec, 1e-6)
+    reliability = -bhattacharyya_profile(256, 0.5)
+    good = good_bit_set(spec, reliability, 1e-6)
     assert np.array_equal(good, spec.good_mask)
     assert not spec.good_mask[spec.frozen_mask].any()
     # tighter threshold can only shrink the set
-    tighter = good_bit_set(spec, 1e-9)
+    tighter = good_bit_set(spec, reliability, 1e-9)
     assert set(np.flatnonzero(tighter)) <= set(np.flatnonzero(good))
 
 
 def test_spec_file_roundtrip(tmp_path):
-    path = str(tmp_path / "code.spec")
-    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.4,
-                          crc=CrcSpec(11), good_threshold=1e-5,
-                          pc=ParityCheckSpec([(30, (7, 9))]))
-    save_code_spec(spec, path)
-    back = load_code_spec(path)
-    assert back.N == spec.N and back.k == spec.k
+    order = np.random.default_rng(5).permutation(64)
+    for spec in (
+            construct_code(64, 32, method="bhattacharyya", design_param=0.4,
+                           crc=CrcSpec(11), good_threshold=1e-5,
+                           pc=ParityCheckSpec([(30, (7, 9))])),
+            construct_code(64, 40, method="external_sequence",
+                           sequence=order.tolist(), crc=CrcSpec(8),
+                           good_threshold=0.25)):
+        path = tmp_path / "code.spec"
+        save_code_spec(spec, str(path))
+        back = load_code_spec(str(path))
+        assert back.N == spec.N and back.k == spec.k
+        assert np.array_equal(back.frozen_mask, spec.frozen_mask)
+        assert np.array_equal(back.good_mask, spec.good_mask)
+        assert back.crc == spec.crc
+        assert (back.pc and back.pc.constraints) == (spec.pc and spec.pc.constraints)
+        assert back.rate() == spec.rate()
+        assert (back.method, back.design_param) == (spec.method, spec.design_param)
+        assert np.array_equal(back.sequence, spec.sequence)
+        again = tmp_path / "again.spec"
+        save_code_spec(back, str(again))
+        assert again.read_bytes() == path.read_bytes()
+    assert np.array_equal(back.sequence, order)
+
+
+def test_loading_a_spec_reruns_no_construction(tmp_path, monkeypatch):
+    path = tmp_path / "ga.spec"
+    spec = construct_code(256, 128, method="gaussian_approx", design_param=1.5,
+                          good_threshold=0.5)
+    save_code_spec(spec, str(path))
+
+    def refuse(*args):
+        raise AssertionError("construction rerun")
+    monkeypatch.setattr(codes, "gaussian_approx_profile", refuse)
+    monkeypatch.setattr(codes, "bhattacharyya_profile", refuse)
+    back = load_code_spec(str(path))
     assert np.array_equal(back.frozen_mask, spec.frozen_mask)
     assert np.array_equal(back.good_mask, spec.good_mask)
-    assert back.crc == spec.crc
-    assert back.pc.constraints == spec.pc.constraints
-    assert back.rate() == spec.rate()
+    assert back.design_param == 1.5
+    # the method is provenance: a spec without its design_param still loads
+    path.write_text("N = 16\nk = 8\nmethod = gaussian_approx\n"
+                    "frozen = 0 1 2 3 4 5 6 8\n")
+    assert load_code_spec(str(path)).design_param is None
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("frozen = 0 1 2 3 4 5 6 6\nk = 8", "frozen: index 6 listed twice"),
+    ("frozen = -1 0 1 2 3 4 5 6\nk = 8", r"frozen: index -1 outside 0\.\.15"),
+    ("frozen = 0 1 2 3 4 5 6 16\nk = 8", r"frozen: index 16 outside 0\.\.15"),
+    ("frozen = 0 1 2 3 4 5 6 7\nk = 8\ngood = 12 16",
+     r"good: index 16 outside 0\.\.15"),
+    ("frozen = 0 1 2 3 4 5 6 7\nk = 8\ngood = 12 12", "good: index 12 listed twice"),
+    ("frozen = 0 1 2 3 4 5 6 7\nk = 9", "k = 9, but the frozen list leaves 8"),
+    ("frozen = 0 1 2 3 4 5 6 x\nk = 8", "frozen: invalid literal"),
+    ("frozen = 0 1 2 3 4 5 6 7", "missing required key 'k'"),
+], ids=["repeat", "negative", "past-N", "good-past-N", "good-repeat",
+        "k-mismatch", "non-integer", "missing-k"])
+def test_load_code_spec_rejects_bad_layouts(tmp_path, lines, message):
+    path = tmp_path / "bad.spec"
+    path.write_text("N = 16\nmethod = manual\n" + lines + "\n")
+    with pytest.raises(ValueError, match="^%s: %s" % (re.escape(str(path)),
+                                                       message)):
+        load_code_spec(str(path))
+
+
+def test_parity_positions_must_lie_inside_the_code():
+    frozen = np.arange(16) < 8
+    for pos in (16, 99, -1):
+        with pytest.raises(ValueError, match=r"parity positions must lie in 0\.\.15"):
+            codes.CodeSpec(16, frozen, pc=ParityCheckSpec([(pos, [])]))

@@ -254,6 +254,10 @@ def test_calibrate_sort_latency_consistent_with_schedule():
     ("parallel_unit_latency", -1, "parallel_unit_latency must not be negative"),
     ("sort_latency", ((1, 0), (8, -3)),
      "sort_latency of list size 8 must not be negative"),
+    ("sort_latency", ((8, 2.5),), "sort_latency entries must be an integer"),
+    ("sort_latency", ((1.0, 0),), "sort_latency entries must be an integer"),
+    ("sort_latency", ((0, 1), (8, 12)), "list size >= 1"),
+    ("sort_latency", ((8, 3), (8, 40)), "sort_latency lists a list size twice"),
     ("f_clk_hz", 0.0, "f_clk_hz must be finite and positive"),
     ("f_clk_hz", float("nan"), "f_clk_hz must be finite and positive"),
     ("f_clk_hz", float("inf"), "f_clk_hz must be finite and positive"),

@@ -171,6 +171,11 @@ def test_quant_profile_stage_widths():
     assert q.width_for_stage(5, n) == 6
     with pytest.raises(ValueError):
         QuantProfile(q_c=3)
+    # one profile serves every n, so stages above a code's n are kept
+    assert QuantProfile(q_i_overrides=((20, 7),)).width_for_stage(5, 11) == 6
+    for overrides in (((0, 7), (0, 9)), ((-1, 7),)):
+        with pytest.raises(ValueError, match="q_i_overrides needs distinct"):
+            QuantProfile(q_i_overrides=overrides)
 
 
 def test_domains_share_kernel_semantics():
