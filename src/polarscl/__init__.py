@@ -13,8 +13,7 @@ from .codes import (CodeSpec, CrcSpec, ParityCheckSpec, construct_code,
 from .qarith import (QuantProfile, FloatDomain, QuantDomain,
                      quantize_channel_llr)
 from .engine import (DecoderProfile, DecodeResult, profile_for, decode,
-                     recover_from_partial_sums, schedule_trace,
-                     split_and_select)
+                     schedule_trace, split_and_select)
 from .cycles import (ArchParams, CycleReport, latency, double_package,
                      throughput, calibrate_sort_latency)
 from .channel import (ChannelConfig, FERPoint, transmit, run_fer,

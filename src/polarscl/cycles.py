@@ -67,10 +67,14 @@ class ArchParams:
     def __post_init__(self):
         for name in ("pe_count_serial", "parallel_threshold",
                      "cycles_per_pe_pass", "sort_initiation_interval",
-                     "num_cores"):
-            if getattr(self, name) < 1:
+                     "num_cores", "parallel_unit_latency"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, value))
+            if value < 1 and name != "parallel_unit_latency":
                 raise ValueError("%s must be at least 1, got %r"
-                                 % (name, getattr(self, name)))
+                                 % (name, value))
         if self.parallel_unit_latency < 0:
             raise ValueError("parallel_unit_latency must not be negative, "
                              "got %r" % (self.parallel_unit_latency,))

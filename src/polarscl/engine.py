@@ -23,8 +23,9 @@ paths. Four architectural mechanisms are modeled bit-accurately:
     exactly like the serial decoder, and sorting the kept positions
     restores the order;
   * decision recovery from partial sums: decoded bits are never stored per
-    path during the walk; the final partial-sum banks are transformed back
-    into u at the end.
+    path during the walk; the last step's write-back cascade ends in each
+    path's root partial sums, the codeword estimate u G, and the transform
+    (its own inverse) turns them back into u.
 
 Frozen-prefix skipping and rate-0 / rate-1 subtree shortcuts evaluate the
 same f/g recursion with forced decisions, so they change the schedule (and
@@ -217,7 +218,7 @@ class Step:
     parity_leaves: dict = None   # block: leaf offset -> (constraint idx, earlier source offsets)
     free: int = 0            # block: free leaves, each doubles the paths
     src: int = 0             # stage read first: the first node's parent, or the channel (n)
-    chain: tuple = ()        # (t, v) nodes computed (f for even v, g for odd), top down
+    chain: tuple = ()        # (t, v) nodes evaluated (f for even v, g for odd), top down
     llr_words: int = 0       # bit s: this or an earlier chain wrote LLR stage s
     ps_words: int = 0        # bit s: an earlier step wrote partial-sum stage s
 
@@ -314,7 +315,7 @@ def _forced_eval(vals, kind, t, domain):
     decision of each leaf LLR (all-good subtree). Bit-exact against a
     bit-serial walk of the same subtree.
 
-    Returns (decisions, partial sums, per-leaf penalties), each (rows, 2^t).
+    Returns (partial sums, per-leaf penalties), each (rows, 2^t).
     """
     rows, size = vals.shape
     if kind == "rate1":
@@ -325,7 +326,7 @@ def _forced_eval(vals, kind, t, domain):
         # breaks the sign argument, so those rare nodes take the recursion.
         if vals.all():
             beta = domain.hd(vals)
-            return polar_transform(beta), beta, np.zeros_like(vals)
+            return beta, np.zeros_like(vals)
         return _forced_eval_serial(vals, kind, t, domain)
     # rate-0: every partial sum stays zero, so the g step degenerates to a
     # plain saturating sum and each level evaluates in one vector pass.
@@ -336,9 +337,8 @@ def _forced_eval(vals, kind, t, domain):
         cur = np.stack([domain.f(lo, hi, stage),
                         domain.g(hi, lo, 0, stage)], axis=2).reshape(rows, -1, h)
     leaves = cur[:, :, 0]
-    bits = np.zeros((rows, size), dtype=np.uint8)
     pens = np.where(leaves < 0, domain.pen(leaves), 0)
-    return bits, bits, pens
+    return np.zeros((rows, size), dtype=np.uint8), pens
 
 
 def _forced_eval_serial(vals, kind, t, domain):
@@ -348,14 +348,13 @@ def _forced_eval_serial(vals, kind, t, domain):
         hd = domain.hd(llr)
         bit = np.zeros_like(hd) if kind == "rate0" else hd
         pen = np.where(bit != hd, domain.pen(llr), 0)
-        return bit[:, None], bit[:, None], pen[:, None]
+        return bit[:, None], pen[:, None]
     h = vals.shape[1] // 2
     lv = domain.f(vals[:, :h], vals[:, h:], t - 1)
-    ul, bl, pl = _forced_eval_serial(lv, kind, t - 1, domain)
+    bl, pl = _forced_eval_serial(lv, kind, t - 1, domain)
     rv = domain.g(vals[:, h:], vals[:, :h], bl, t - 1)
-    ur, br, pr = _forced_eval_serial(rv, kind, t - 1, domain)
-    return (np.concatenate([ul, ur], axis=1),
-            np.concatenate([bl ^ br, br], axis=1),
+    br, pr = _forced_eval_serial(rv, kind, t - 1, domain)
+    return (np.concatenate([bl ^ br, br], axis=1),
             np.concatenate([pl, pr], axis=1))
 
 
@@ -539,34 +538,6 @@ def split_and_select(pms, block_vectors, kinds, L_target, domain=None):
     }
 
 
-# -- decision recovery ---------------------------------------------------------
-
-def recover_from_partial_sums(partial_sums, tail_bits):
-    """Rebuild the decided vector u from final partial-sum banks.
-
-    partial_sums: bank contents for stages w, w+1, ..., n-1 in ascending
-    order (the stage-t bank holds 2^t bits), where w is fixed by the tail
-    length; tail_bits: the trailing 2^w decisions -- the final leaf block
-    or final forced subtree -- whose writes only cascade upward and never
-    land in a kept bank. When the decode finished, the stage-t bank holds
-    the transform of u[N-2^(t+1) : N-2^t]; the transform is an involution,
-    so applying it once more recovers u. Leading axes are rows (paths).
-    """
-    tail = np.asarray(tail_bits, dtype=np.uint8)
-    tw = tail.shape[-1]
-    if tw & (tw - 1):
-        raise ValueError("tail length must be a power of two")
-    w = tw.bit_length() - 1
-    N = 1 << (w + len(partial_sums))
-    u = np.zeros(tail.shape[:-1] + (N,), dtype=np.uint8)
-    u[..., N - tw:] = tail
-    for t, S in enumerate(partial_sums, w):
-        if np.shape(S)[-1] != 1 << t:
-            raise ValueError("stage %d bank must hold %d bits" % (t, 1 << t))
-        u[..., N - (1 << (t + 1)):N - (1 << t)] = polar_transform(S)
-    return u
-
-
 # -- the decoder ---------------------------------------------------------------
 
 @dataclass
@@ -625,22 +596,28 @@ class _ListDecoder:
         return bank[rows]
 
     def _vecs(self, step):
-        """The LLR vector of each active path at the step's node, computed
-        down the plan's recompute chain from its first node's parent."""
+        """The LLR vector of each active path at the step's node, evaluated
+        down the plan's recompute chain from its first node's parent. A
+        node's bank is written only when the chain descends from it: its
+        odd child reads it later, and the step's own node is decided here."""
         vals = self._rows("llr", step.src)
         for t, v in step.chain:
+            if t + 1 < step.src:
+                self.store.write("llr", t + 1, vals)
             h = 1 << t
             if v & 1 == 0:
                 vals = self.domain.f(vals[:, :h], vals[:, h:], t)
             else:
                 vals = self.domain.g(vals[:, h:], vals[:, :h],
                                      self._rows("ps", t), t)
-            self.store.write("llr", t, vals)
         return vals
 
     # ---- partial-sum write-back cascade ----
 
     def _write_beta(self, t, v, beta):
+        """Cascade node (t, v)'s partial sums up to the first even ancestor
+        and write them there; an all-odd path reaches the root, whose
+        partial sums it returns."""
         while t < self.n:
             if v & 1 == 0:
                 self.store.write("ps", t, beta)
@@ -648,6 +625,7 @@ class _ListDecoder:
             beta = np.concatenate([self._rows("ps", t) ^ beta, beta], axis=1)
             t += 1
             v >>= 1
+        return beta
 
     # ---- survivor bookkeeping ----
 
@@ -674,32 +652,29 @@ class _ListDecoder:
                 self.pm, vals, step.kinds, step.parity_leaves, self.pc_acc,
                 self.domain, self.w, self.L, self.F)
             self._apply_parents(parents, step)
-            W = 1 << self.w
-            bits, beta = _pattern_tables(W)[value], _pattern_sums(W)[value]
+            beta = _pattern_sums(1 << self.w)[value]
         else:
-            bits, beta, pens = _forced_eval(vals, step.kind, step.t,
-                                            self.domain)
+            beta, pens = _forced_eval(vals, step.kind, step.t, self.domain)
             self.pm = self.domain.pm_fold(self.pm, pens)
-        for ci, offs in step.acc_updates:
-            self.pc_acc[:, ci] ^= np.bitwise_xor.reduce(bits[:, offs], axis=1)
-        # The final step's decisions only cascade upward, never into the
-        # per-stage banks below it, so the last step's bits are the tail.
-        self.tail = bits
-        self._write_beta(step.t, step.v, beta)
+        if step.acc_updates:
+            bits = polar_transform(beta)
+            for ci, offs in step.acc_updates:
+                self.pc_acc[:, ci] ^= np.bitwise_xor.reduce(bits[:, offs],
+                                                            axis=1)
+        return self._write_beta(step.t, step.v, beta)
 
     # ---- top level ----
 
     def run(self, chan):
         self.store.write("llr", self.n, chan)
         for step in self.steps:
-            self._step(step)
-        return self._finalize()
+            root = self._step(step)
+        return self._finalize(root)
 
-    def _finalize(self):
+    def _finalize(self, root):
+        """Per-frame results from the root partial sums of every path."""
         F, c = self.F, self.rows // self.F
-        U = recover_from_partial_sums(
-            [self._rows("ps", t) for t in range(self.steps[-1].t, self.n)],
-            self.tail)
+        U = polar_transform(root)
         crc_ok = None
         if self.spec.crc is not None:
             crc_ok = crc_check_rows(crc_sequence(U, self.spec), self.spec.crc)
@@ -745,7 +720,7 @@ def _checked(spec, profile, L):
 
 
 def schedule_trace(spec, profile, L=None):
-    """The cycle trace of one decode, computed from its plan alone.
+    """The cycle trace of one decode, derived from its plan alone.
 
     The schedule does not depend on the data: each step runs its plan's
     f/g chain on the current paths, each free leaf doubles the paths and
@@ -758,22 +733,17 @@ def schedule_trace(spec, profile, L=None):
     trace = DecodeTrace(N=spec.N, k=spec.k, L=L, kind=profile.kind,
                         semi_parallel_stages=profile.semi_parallel_stages,
                         semi_parallel_group=profile.semi_parallel_group)
-    # The hardware keeps every storage_stride-th stage, so a step recomputes
-    # from the nearest bank that holds its ancestor: track the node each kept
-    # bank holds and the node each stage computed last (fresh if it changed).
-    held = dict.fromkeys(range(0, n, profile.storage_stride), -1)
-    computed = [-1] * n
+    # The hardware keeps every storage_stride-th stage, and each kept stage
+    # at or above step.src still holds the step's ancestor, so the step
+    # recomputes from the first of them (or the channel). The stages below
+    # step.src are the chain's new nodes; the ones above are recomputed.
+    stride = profile.storage_stride
     paths = 1
     for step in steps:
-        t, v, src = step.t, step.v, step.t
-        while src < n and held.get(src) != v >> (src - t):
-            src += 1
-        for s in range(src - 1, t - 1, -1):
-            node = v >> (s - t)
-            if s in held:
-                held[s] = node
-            trace.stage(s, "g" if node & 1 else "f", paths, computed[s] != node)
-            computed[s] = node
+        top = min(-(-step.src // stride) * stride, n)
+        for s in range(top - 1, step.t - 1, -1):
+            node = step.v >> (s - step.t)
+            trace.stage(s, "g" if node & 1 else "f", paths, s < step.src)
         if step.kind != "block":
             trace.special(step.kind, step.t, paths, step.is_prefix)
             continue

@@ -14,6 +14,7 @@ integer arrays): a sign-magnitude word of width Q holds magnitudes
 2^q_pm - 1 once normalized.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,21 @@ class QuantProfile:
     channel_scale: float = 1.0
 
     def __post_init__(self):
-        widths = [self.q_c, self.q_i, self.q_sort, self.q_pm]
-        widths += [w for _s, w in self.q_i_overrides]
-        for w in widths:
-            if not (4 <= int(w) <= 16):
+        widths = [(name, getattr(self, name))
+                  for name in ("q_c", "q_i", "q_sort", "q_pm")]
+        widths += [("q_i_overrides", w) for _s, w in self.q_i_overrides]
+        for name, w in widths:
+            if not isinstance(w, numbers.Integral):
+                raise ValueError("%s must be an integer width, got %r"
+                                 % (name, w))
+            if not 4 <= w <= 16:
                 raise ValueError("quantizer width out of range: %r" % (w,))
         stages = [s for s, _w in self.q_i_overrides]
-        if any(s < 0 for s in stages) or len(set(stages)) != len(stages):
-            raise ValueError("q_i_overrides needs distinct stages >= 0, got %s"
-                             % " ".join("%d:%d" % p for p in self.q_i_overrides))
+        if (any(not isinstance(s, numbers.Integral) or s < 0 for s in stages)
+                or len(set(stages)) != len(stages)):
+            raise ValueError("q_i_overrides needs distinct integer stages "
+                             ">= 0, got %s" % " ".join(
+                                 "%r:%r" % p for p in self.q_i_overrides))
         if not (self.channel_scale > 0):
             raise ValueError("channel_scale must be positive")
 

@@ -261,6 +261,13 @@ def test_calibrate_sort_latency_consistent_with_schedule():
     ("f_clk_hz", 0.0, "f_clk_hz must be finite and positive"),
     ("f_clk_hz", float("nan"), "f_clk_hz must be finite and positive"),
     ("f_clk_hz", float("inf"), "f_clk_hz must be finite and positive"),
+    ("parallel_unit_latency", 2.5, "parallel_unit_latency must be an integer"),
+    ("pe_count_serial", 64.5, "pe_count_serial must be an integer"),
+    ("parallel_threshold", 16.0, "parallel_threshold must be an integer"),
+    ("cycles_per_pe_pass", 1.5, "cycles_per_pe_pass must be an integer"),
+    ("sort_initiation_interval", 1.5,
+     "sort_initiation_interval must be an integer"),
+    ("num_cores", 2.5, "num_cores must be an integer"),
 ])
 def test_arch_params_reject_values_the_model_cannot_price(field, value,
                                                           message):

@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from polarscl import reference
+from polarscl import engine, reference
 from polarscl.codes import (
     CrcSpec, ParityCheckSpec, build_message, construct_code, polar_transform,
 )
 from polarscl.config import load_config
 from polarscl.engine import (
     FREE, FROZEN, GOOD, BatchResult, _prune_order, decode,
-    decode_batch, llr_memory_summary, profile_for, recover_from_partial_sums,
-    schedule_trace, split_and_select,
+    decode_batch, llr_memory_summary, profile_for, schedule_trace,
+    split_and_select,
 )
 from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile
 
@@ -381,21 +381,9 @@ def test_clone_counters_pinned_at_other_strides(kind, L, leaf_width, N, crc,
                           storage_stride=stride) == want
 
 
-def test_recover_hand_trace_n4():
-    # u = [1,0,1,1]: tail holds the final two decisions, the stage-1 bank
-    # holds the transform of the first two
-    s1 = polar_transform([1, 0])
-    assert np.array_equal(s1, [1, 0])
-    u = recover_from_partial_sums([s1], [1, 1])
-    assert np.array_equal(u, [1, 0, 1, 1])
-    # same frame with a single-bit tail and both banks kept
-    u = recover_from_partial_sums([[1], s1], [1])
-    assert np.array_equal(u, [1, 0, 1, 1])
-
-
 def test_recover_matches_reference_decisions():
-    """u recovered from the partial-sum banks equals the decisions the
-    bit-serial reference stores directly, for every survivor."""
+    """u recovered from each path's root partial sums equals the decisions
+    the bit-serial reference stores directly, for every survivor."""
     rng = np.random.default_rng(6)
     for kind, L in (("sc", 1), ("flexible", 8), ("ultra", 32)):
         prof = profile_for(kind) if kind == "ultra" else \
@@ -410,6 +398,56 @@ def test_recover_matches_reference_decisions():
             _u, paths, _pm = reference.scl_reference(
                 dom.channel(llr), spec, L, domain=dom)
             assert np.array_equal(a.survivors_u, paths), (kind, n)
+
+
+@pytest.mark.parametrize("L", [1, 8])
+def test_rate1_zero_llr_fallback_matches_reference(monkeypatch, L):
+    """Rate-1 subtrees whose node vector holds a zero LLR take the
+    leaf-by-leaf recursion; small integer channel LLRs make those common."""
+    calls = [0]
+    serial = engine._forced_eval_serial
+
+    def counted(*args):
+        calls[0] += 1
+        return serial(*args)
+    monkeypatch.setattr(engine, "_forced_eval_serial", counted)
+    spec = construct_code(64, 40, "bhattacharyya", 0.5, good_threshold=1.0)
+    prof = profile_for("flexible")
+    dom = QuantDomain(prof.quant, spec.n)
+    llrs = np.random.default_rng(11).integers(-2, 3, (16, spec.N))
+    res = decode_batch(llrs, spec, prof, L=L)
+    assert calls[0] > 0
+    for y, u, paths, pm in zip(llrs, res.u_hat, res.survivors_u,
+                               res.survivors_pm):
+        ref_u, ref_paths, ref_pm = reference.scl_reference(y, spec, L,
+                                                           domain=dom)
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(paths, ref_paths)
+        assert np.array_equal(pm, ref_pm)
+
+
+@pytest.mark.parametrize("profile", ["sc", "flexible"])
+def test_every_bank_written_is_read(monkeypatch, profile):
+    """The decode writes an LLR or partial-sum bank only if a later step
+    reads it before it is replaced or the decode ends."""
+    unread, stale = set(), []
+    write, read = engine.PathStore.write, engine.PathStore.read
+
+    def tracked_write(self, kind, t, vals):
+        if (kind, t) in unread:
+            stale.append((kind, t))
+        unread.add((kind, t))
+        return write(self, kind, t, vals)
+
+    def tracked_read(self, kind, t, rows):
+        unread.discard((kind, t))
+        return read(self, kind, t, rows)
+    monkeypatch.setattr(engine.PathStore, "write", tracked_write)
+    monkeypatch.setattr(engine.PathStore, "read", tracked_read)
+    spec = construct_code(256, 128, "bhattacharyya", 0.5, crc=CrcSpec(8))
+    _, llr = noisy_llrs(spec, np.random.default_rng(12))
+    decode(llr, spec, profile)
+    assert not stale and not unread, (stale, sorted(unread))
 
 
 def test_batch_equals_sequential():

@@ -173,9 +173,14 @@ def test_quant_profile_stage_widths():
         QuantProfile(q_c=3)
     # one profile serves every n, so stages above a code's n are kept
     assert QuantProfile(q_i_overrides=((20, 7),)).width_for_stage(5, 11) == 6
-    for overrides in (((0, 7), (0, 9)), ((-1, 7),)):
+    for overrides in (((0, 7), (0, 9)), ((-1, 7),), ((1.5, 7),)):
         with pytest.raises(ValueError, match="q_i_overrides needs distinct"):
             QuantProfile(q_i_overrides=overrides)
+    # int() would truncate these to valid widths
+    for field, value in (("q_c", 6.5), ("q_i", 6.5), ("q_sort", 7.5),
+                         ("q_pm", 6.0), ("q_i_overrides", ((0, 7.5),))):
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            QuantProfile(**{field: value})
 
 
 def test_domains_share_kernel_semantics():
