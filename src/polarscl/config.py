@@ -233,7 +233,10 @@ class RunConfig:
                 raise ConfigError("[code] spec_file conflicts with %s; a "
                                   "loaded spec takes no other [code] keys"
                                   % ", ".join(clash))
-            return load_code_spec(c["spec_file"])
+            try:
+                return load_code_spec(c["spec_file"])
+            except OSError as e:
+                raise ConfigError("[code] cannot read spec_file: %s" % e)
         crc = None
         try:
             if c["crc_width"]:
@@ -253,6 +256,8 @@ class RunConfig:
                                   design_param=c["design_param"], crc=crc,
                                   pc=pc, good_threshold=c["good_threshold"],
                                   sequence=c["sequence_file"] or None)
+        except OSError as e:
+            raise ConfigError("[code] cannot read sequence_file: %s" % e)
         except ValueError as e:
             raise ConfigError("[code] %s" % e)
 
@@ -287,19 +292,37 @@ class RunConfig:
 
     def effective_text(self, skip=()):
         """Canonical serialization of every effective value."""
-        out = io.StringIO()
-        for sec in sorted(self.sections):
-            if sec in skip:
-                continue
-            out.write("[%s]\n" % sec)
-            for key in sorted(self.sections[sec]):
-                out.write("%s = %s\n" % (key, _fmt(self.sections[sec][key])))
-        return out.getvalue()
+        return _serialize(self.sections, skip)
 
     def config_hash(self):
-        """Hash of the result-determining config ([output] paths excluded)."""
-        text = self.effective_text(skip=("output",))
+        """Hash of the result-determining config ([output] paths excluded).
+
+        A set ``spec_file`` or ``sequence_file`` counts by its contents,
+        not its path: a copied file hashes the same, a replaced one does
+        not. A config that sets neither hashes its effective text alone.
+        """
+        code = dict(self.sections["code"])
+        for key in ("spec_file", "sequence_file"):
+            if code[key]:
+                try:
+                    with open(code[key], "rb") as f:
+                        code[key] = "sha256:" + hashlib.sha256(
+                            f.read()).hexdigest()
+                except OSError as e:
+                    raise ConfigError("[code] cannot read %s: %s" % (key, e))
+        text = _serialize(dict(self.sections, code=code), skip=("output",))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _serialize(sections, skip):
+    out = io.StringIO()
+    for sec in sorted(sections):
+        if sec in skip:
+            continue
+        out.write("[%s]\n" % sec)
+        for key in sorted(sections[sec]):
+            out.write("%s = %s\n" % (key, _fmt(sections[sec][key])))
+    return out.getvalue()
 
 
 def _fmt(v):

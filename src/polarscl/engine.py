@@ -44,7 +44,7 @@ from .qarith import FloatDomain, QuantDomain, QuantProfile
 
 FREE, FROZEN, GOOD, PARITY = 0, 1, 2, 3
 
-# The pattern tensor of a leaf block grows as 2^W, so blocks stop at 8 leaves.
+# A leaf block's LLR tables grow as 2^W, so blocks stop at 8 leaves.
 MAX_LEAF_WIDTH = 8
 
 # Final path selection: lowest metric, or lowest among CRC-passing paths.
@@ -381,30 +381,25 @@ _S01 = np.array([False, True])
 
 
 def _llr_tensor(vals, w, domain):
-    """Leaf LLRs of one width-2^w block under every decision pattern.
+    """Leaf LLRs of one width-2^w block under every decision prefix.
 
-    Returns (rows, 2^W, W); entry [r, p, j] is the LLR of leaf j when the
-    leaves before j were decided as the prefix of pattern p (MSB-first).
-    Runs the same in-block f/g datapath as a bit-serial schedule, one
-    vectorized pass per distinct prefix instead of one per candidate: the
-    left half's tensor comes from f, the right half's from g under the
-    partial sums of every left-half pattern.
+    Returns one array per leaf: leaf j's is (rows, 2^j), and its entry
+    [r, p] is the LLR of leaf j when the leaves before it were decided as
+    the j-bit prefix p (MSB-first). Runs the same in-block f/g datapath as
+    a bit-serial schedule, one vectorized pass per distinct prefix instead
+    of one per candidate: the left half's leaves come from f, the right
+    half's from g under the partial sums of every left-half pattern, whose
+    (left pattern, right prefix) rows are already the full prefix.
     """
-    U = len(vals)
     if w == 0:
-        full = np.empty((U, 2, 1), dtype=vals.dtype)
-        full[:, :, 0] = vals
-        return full
+        return [vals]
     h = 1 << (w - 1)
     left = _llr_tensor(domain.f(vals[:, :h], vals[:, h:], w - 1), w - 1,
-                       domain)                         # (U, 2^h, h)
+                       domain)
     rv = domain.g(vals[:, None, h:], vals[:, None, :h],
-                  _pattern_sums(h)[None], w - 1)       # (U, 2^h, h)
+                  _pattern_sums(h)[None], w - 1)       # (rows, 2^h, h)
     right = _llr_tensor(rv.reshape(-1, h), w - 1, domain)
-    full = np.empty((U, 1 << h, 1 << h, 2 * h), dtype=left.dtype)
-    full[..., :h] = left[:, :, None, :]
-    full[..., h:] = right.reshape(U, 1 << h, 1 << h, h)
-    return full.reshape(U, -1, 2 * h)
+    return left + [leaf.reshape(len(vals), -1) for leaf in right]
 
 
 def _prune_order(pm, L, F):
@@ -428,24 +423,22 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
 
     Runs the exact schedule of a bit-serial decoder -- double the candidate
     set at each free leaf, keep the best L, renormalize after each pruning
-    sort -- but reads every leaf LLR out of the pattern tensor of the entry
-    paths' block vectors (one row per path) instead of recomputing the
-    in-block tree per candidate. The candidate array stays sorted by (entry
-    path, decided bits) throughout, so positional order doubles as the
-    serial path index for tie-breaking. With F > 1 the entry paths belong to F equally sized
-    independent frames (lockstep batch) and pruning keeps L per frame.
+    sort -- but reads every leaf LLR out of the entry paths' per-leaf
+    tables (``_llr_tensor``, indexed by entry path and decided prefix)
+    instead of recomputing the in-block tree per candidate. The candidate
+    array stays sorted by (entry path, decided bits) throughout, so
+    positional order doubles as the serial path index for tie-breaking.
+    With F > 1 the entry paths belong to F equally sized independent
+    frames (lockstep batch) and pruning keeps L per frame.
 
     Returns (parents, pattern values, metrics); parents refer to the
     paths at block entry.
     """
-    W = 1 << w
-    full = _llr_tensor(vals, w, domain)           # (rows, 2^W, W)
     parent = np.arange(len(pm))
     value = np.zeros(len(pm), dtype=np.int64)
     cur = np.asarray(pm, dtype=domain.pm_dtype)
-    for j in range(W):
-        # undecided suffix = 0 in the pattern index
-        llr = full[parent, value << (W - j), j]
+    for j, table in enumerate(_llr_tensor(vals, w, domain)):
+        llr = table[parent, value]          # value holds the j decided bits
         hd = llr < 0
         pj = domain.pen(llr)
         kind = int(kinds[j])

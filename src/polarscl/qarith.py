@@ -112,15 +112,25 @@ class QuantDomain:
             raise ValueError("channel LLRs exceed the channel word width")
         return llrs.astype(self.llr_dtype)
 
+    # The kernels are branch-free: on integers, sign(a) sign(b) min(|a|, |b|)
+    # is max(min(a, b), -max(a, b)), and g negates b where s is set as
+    # (b ^ -1) + 1. Neither overflows the LLR dtype before the final clamp
+    # to the stage width: under int16 the inputs are at most 2^14 - 1 in
+    # magnitude, so -max and g's sum fit. The clamp writes in place into
+    # the kernel's own result, so a and b must broadcast to an array.
+
     def f(self, a, b, stage):
         m = llr_max(self.widths[stage])
-        out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-        return np.maximum(np.minimum(out, m), -m)
+        out = np.maximum(np.minimum(a, b), -np.maximum(a, b))
+        np.minimum(out, m, out=out)
+        return np.maximum(out, -m, out=out)
 
     def g(self, a, b, s, stage):
         m = llr_max(self.widths[stage])
-        out = a + np.where(np.asarray(s) != 0, -b, b)
-        return np.maximum(np.minimum(out, m), -m)
+        neg = -(np.asarray(s) != 0).view(np.int8)     # -1 where s is set
+        out = a + ((np.asarray(b) ^ neg) - neg)
+        np.minimum(out, m, out=out)
+        return np.maximum(out, -m, out=out)
 
     @staticmethod
     def hd(llr):

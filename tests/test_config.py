@@ -200,6 +200,59 @@ def test_spec_file_effective_text_reloads(tmp_path):
     assert again.build_spec().k == 128
 
 
+def test_config_hash_without_files_is_pinned():
+    # Configs that name no file hash their effective text alone, so FER CSV
+    # headers and the sc decode benchmark's config keep these hashes.
+    assert load_config().config_hash() == "3f9b25e29060"
+    sc = load_config(overrides=[
+        "code.n=1024", "code.k=512", "code.method=gaussian_approx",
+        "code.design_param=2.0", "code.crc_width=0", "decoder.profile=sc",
+        "decoder.arithmetic=quantized"])
+    assert sc.config_hash() == "b5dd928d5163"
+
+
+def test_config_hash_reads_the_spec_file_not_its_path(tmp_path):
+    path = _saved_spec(tmp_path)
+    copy = tmp_path / "elsewhere" / "copy.spec"
+    copy.parent.mkdir()
+    copy.write_bytes(path.read_bytes())
+    here = load_config(overrides=["code.spec_file=%s" % path])
+    there = load_config(overrides=["code.spec_file=%s" % copy])
+    assert here.effective_text() != there.effective_text()
+    assert here.config_hash() == there.config_hash()
+    # another code saved at the same path changes the hash
+    before = here.config_hash()
+    other = RunConfig()
+    other.set("code", "n", "512")
+    from polarscl.codes import save_code_spec
+    save_code_spec(other.build_spec(), str(path))
+    assert here.config_hash() != before
+
+
+def test_config_hash_reads_the_sequence_file_not_its_path(tmp_path):
+    def hashed(path):
+        return load_config(overrides=[
+            "code.method=external_sequence",
+            "code.sequence_file=%s" % path]).config_hash()
+
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(" ".join(str(i) for i in range(1024)))
+    b.write_text(a.read_text())
+    assert hashed(a) == hashed(b)
+    b.write_text(" ".join(str(i) for i in reversed(range(1024))))
+    assert hashed(a) != hashed(b)
+
+
+@pytest.mark.parametrize("key, extra", [
+    ("spec_file", []), ("sequence_file", ["code.method=external_sequence"])])
+def test_unreadable_code_file_is_a_config_error(tmp_path, key, extra):
+    missing = tmp_path / "missing.txt"
+    cfg = load_config(overrides=["code.%s=%s" % (key, missing)] + extra)
+    for call in (cfg.config_hash, cfg.build_spec):
+        with pytest.raises(ConfigError, match=r"\[code\] cannot read %s" % key):
+            call()
+
+
 def test_build_profile_overrides():
     cfg = RunConfig()
     cfg.set("decoder", "leaf_width", "2")

@@ -204,6 +204,29 @@ def test_split_and_select_matches_bit_serial_chain():
         assert np.allclose(got["pm"], pm)
 
 
+@pytest.mark.parametrize("W", [1, 2, 4, 8])
+@pytest.mark.parametrize("arith", ["quantized", "float"])
+def test_llr_tables_hold_each_leaf_under_each_prefix(W, arith):
+    """Leaf j's table is (rows, 2^j), and entry [r, p] is leaf j of row
+    r's block after the MSB-first prefix p, recomputed bit-serially."""
+    rng = np.random.default_rng(W)
+    rows = 3
+    if arith == "float":
+        dom = FloatDomain(4)
+        vals = np.round(rng.normal(0, 3, (rows, W)), 3)
+    else:
+        dom = QuantDomain(profile_for("ultra").quant, 4)
+        vals = rng.integers(-31, 32, (rows, W)).astype(dom.llr_dtype)
+    leaves = engine._llr_tensor(vals, W.bit_length() - 1, dom)
+    assert len(leaves) == W
+    for j, table in enumerate(leaves):
+        assert table.shape == (rows, 1 << j)
+        for r in range(rows):
+            for p in range(1 << j):
+                prefix = [(p >> (j - 1 - i)) & 1 for i in range(j)]
+                assert table[r, p] == leaf_llr_from_block(vals[r], prefix, dom)
+
+
 def test_split_and_select_one_survivor_from_several_paths():
     """L_target=1 with P entry paths on one free leaf keeps the minimum of
     all 2P candidates, ties to the lowest parent and then to bit 0 (only a

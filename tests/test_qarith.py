@@ -228,3 +228,56 @@ def test_kernels_at_width_15_saturation_corners():
     assert got.dtype == np.int16
     assert np.array_equal(got, np.sign(a) * np.sign(b)
                           * np.minimum(np.abs(a), np.abs(b)))
+
+
+def sign_where_f(a, b, m):
+    """The min-sum f as np.sign products, clamped: the oracle for f."""
+    out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    return np.maximum(np.minimum(out, m), -m)
+
+
+def sign_where_g(a, b, s, m):
+    """g as np.where on the partial sums, clamped: the oracle for g."""
+    out = a + np.where(np.asarray(s) != 0, -b, b)
+    return np.maximum(np.minimum(out, m), -m)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_kernels_match_the_sign_and_where_oracle_on_engine_shapes(dtype):
+    """f and g equal the np.sign / np.where formulas on the operands the
+    engine passes, and keep the dtype of array operands."""
+    rng = np.random.default_rng(7)
+    dom = QuantDomain(QuantProfile(q_c=7, q_i=6, q_i_overrides=((2, 7),)), 4)
+    U, h = 6, 4
+
+    def llrs(*shape):
+        return rng.integers(-63, 64, shape).astype(dtype)
+
+    def bits(*shape):
+        return rng.integers(0, 2, shape)
+
+    vals, wide = llrs(U, 2 * h), llrs(U, 4 * h)
+    cases = [
+        # the leaf tables' broadcast against every left-half pattern
+        (vals[:, None, h:], vals[:, None, :h],
+         bits(1, 1 << h, h).astype(np.uint8)),
+        # strided views of a bank, and of a partial-sum bank
+        (wide[:, 1::4], wide[:, 3::4], bits(U, 2 * h).astype(np.uint8)[:, ::2]),
+        (wide[::2, :h], wide[1::2, h:2 * h], bits(3, h).astype(np.uint8)),
+        # the rate-0 pass's scalar s, and Python-int b as in saturation tests
+        (vals[:, :h], vals[:, h:], 0),
+        (vals, 0, 0),
+        (vals, 50, bits(U, 2 * h).astype(np.uint8)),
+        # partial sums as bool and int64 (any non-zero value is set)
+        (vals[:, :h], vals[:, h:], bits(U, h).astype(bool)),
+        (vals[:, :h], vals[:, h:], bits(U, h) * rng.integers(1, 9, (U, h))),
+    ]
+    for a, b, s in cases:
+        for stage in (0, 2, 4):
+            m = llr_max(dom.widths[stage])
+            for got, want in ((dom.f(a, b, stage), sign_where_f(a, b, m)),
+                              (dom.g(a, b, s, stage),
+                               sign_where_g(a, b, s, m))):
+                assert np.array_equal(got, want)
+                if isinstance(b, np.ndarray):
+                    assert got.dtype == dtype
