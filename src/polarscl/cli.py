@@ -279,7 +279,7 @@ def cmd_selftest(args):
     ok = True
     for s in (0, 1):
         want = np.clip(a + (1 - 2 * s) * b, -hi, hi)
-        ok = ok and np.array_equal(dom.g(a, b, s, 0), want)
+        ok = ok and np.array_equal(dom.g(a, b, 1 - 2 * s, 0), want)
     check("g exhaustive Q=6", ok)
 
     # noiseless round trip, all three decoder profiles

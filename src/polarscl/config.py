@@ -221,9 +221,18 @@ class RunConfig:
 
     # -- materialization ---------------------------------------------------
 
+    def _code(self):
+        """The [code] section, rejecting a sequence_file that its method
+        would not read."""
+        c = self.sections["code"]
+        if c["sequence_file"] and c["method"] != "external_sequence":
+            raise ConfigError("[code] sequence_file is read only by method "
+                              "external_sequence, not %s" % c["method"])
+        return c
+
     def build_spec(self):
         """CodeSpec per the [code] section (or loaded from spec_file)."""
-        c = self.sections["code"]
+        c = self._code()
         if c["spec_file"]:
             # Compared with the defaults, not "was set", so that a
             # serialized effective config (every key printed) reloads.
@@ -301,7 +310,7 @@ class RunConfig:
         not its path: a copied file hashes the same, a replaced one does
         not. A config that sets neither hashes its effective text alone.
         """
-        code = dict(self.sections["code"])
+        code = dict(self._code())
         for key in ("spec_file", "sequence_file"):
             if code[key]:
                 try:

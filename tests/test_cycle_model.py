@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polarscl.codes import construct_code
+from polarscl.codes import CrcSpec, ParityCheckSpec, construct_code
 from polarscl.cycles import (
-    ArchParams, DecodeTrace, calibrate_sort_latency, double_package,
-    latency, throughput,
+    ArchParams, CycleReport, DecodeTrace, calibrate_sort_latency,
+    double_package, latency, throughput,
 )
-from polarscl.engine import decode
+from polarscl.engine import decode, schedule_trace
 
 
 def test_serial_stage_pricing():
@@ -168,9 +168,9 @@ def test_double_package_pipelined_sorter_hand_schedule():
     assert out["throughput_gain"] == pytest.approx(32 / 20)
 
 
-def test_double_package_bounds_and_determinism():
+def random_trace_pairs():
+    """20 pairs of random traces of stages, leaves and special nodes."""
     rng = np.random.default_rng(11)
-    arch = ArchParams()
     for _ in range(20):
         traces = []
         for _t in range(2):
@@ -184,6 +184,12 @@ def test_double_package_bounds_and_determinism():
                 else:
                     tr.special("rep", 3, 8)
             traces.append(tr)
+        yield traces
+
+
+def test_double_package_bounds_and_determinism():
+    arch = ArchParams()
+    for traces in random_trace_pairs():
         t1 = latency(traces[0], arch).total_cycles
         t2 = latency(traces[1], arch).total_cycles
         out = double_package(traces[0], traces[1], arch)
@@ -278,3 +284,131 @@ def test_arch_params_reject_values_the_model_cannot_price(field, value,
 def test_arch_params_accept_zero_latencies():
     arch = ArchParams(parallel_unit_latency=0, sort_latency=((1, 0), (2, 0)))
     assert arch.sort_latency_for(2) == 0
+
+
+# -- the pricing as it was written before it priced each distinct event
+# once and scheduled two packages in a loop on locals: the oracle below.
+
+def oracle_segments(trace, arch):
+    segs = []
+    semi = set(trace.semi_parallel_stages)
+    for ev in trace.events:
+        if ev[0] == "stage":
+            _, t, _op, paths, _fresh = ev
+            width = 1 << t
+            if width > arch.parallel_threshold:
+                waves = paths * -(-width // arch.pe_count_serial)
+                segs.append(("pe", waves * arch.cycles_per_pe_pass, "serial"))
+            elif t in semi:
+                waves = -(-paths // trace.semi_parallel_group)
+                segs.append(("pe", waves * arch.cycles_per_pe_pass,
+                             "semi_parallel"))
+            else:
+                segs.append(("pe", arch.parallel_unit_latency, "parallel"))
+        elif ev[0] == "leaf":
+            _, _w, candidates, kept, sorts = ev
+            segs.append(("pe", arch.parallel_unit_latency, "parallel"))
+            if kept >= 2:
+                for _ in range(int(sorts)):
+                    segs.append(("sort", arch.sort_latency_for(kept), "sort"))
+        elif ev[0] == "special":
+            segs.append(("pe", arch.parallel_unit_latency, "parallel"))
+        else:
+            raise ValueError("unknown trace event %r" % (ev[0],))
+    return segs
+
+
+def oracle_latency(trace, arch):
+    breakdown = {"serial": 0, "semi_parallel": 0, "parallel": 0, "sort": 0}
+    total = 0
+    for _res, cyc, label in oracle_segments(trace, arch):
+        breakdown[label] += cyc
+        total += cyc
+    return CycleReport(
+        total_cycles=total, breakdown=breakdown,
+        idle_pe_cycles=breakdown["sort"], n_events=len(trace.events),
+        meta={"N": trace.N, "k": trace.k, "L": trace.L, "kind": trace.kind})
+
+
+def oracle_double_package(trace_a, trace_b, arch):
+    streams = [oracle_segments(trace_a, arch), oracle_segments(trace_b, arch)]
+    singles = [sum(c for _r, c, _l in s) for s in streams]
+    ready = [0, 0]
+    pos = [0, 0]
+    free = {"pe": 0, "sort": 0}
+    while pos[0] < len(streams[0]) or pos[1] < len(streams[1]):
+        best = None
+        for s in (0, 1):
+            if pos[s] >= len(streams[s]):
+                continue
+            res, cyc, _label = streams[s][pos[s]]
+            start = max(ready[s], free[res])
+            if best is None or start < best[0]:
+                best = (start, s, res, cyc)
+        start, s, res, cyc = best
+        ready[s] = start + cyc
+        busy = cyc if res == "pe" else min(cyc, arch.sort_initiation_interval)
+        free[res] = start + busy
+        pos[s] += 1
+    total = max(ready)
+    single = max(singles) if any(singles) else 0
+    return {
+        "total_cycles": total,
+        "package_cycles": tuple(singles),
+        "package_finish": tuple(ready),
+        "ratio_vs_single": (total / single) if single else 0.0,
+        "throughput_gain": (sum(singles) / total) if total else 1.0,
+    }
+
+
+def schedule_traces():
+    """Plan traces of every profile, on a plain code and on one with a
+    CRC, parity constraints and good bits, at two list sizes each."""
+    plain = construct_code(256, 128, "bhattacharyya", 0.5)
+    mixed = construct_code(256, 128, "bhattacharyya", 0.5, crc=CrcSpec(8),
+                           pc=ParityCheckSpec([(120, [3, 60]),
+                                               (200, [7, 100])]),
+                           good_threshold=0.3)
+    for spec in (plain, mixed):
+        for kind, lists in (("sc", (1,)), ("flexible", (4, 8)),
+                            ("ultra", (8, 32))):
+            for L in lists:
+                yield schedule_trace(spec, kind, L)
+
+
+ARCHS = [ArchParams(), ArchParams(sort_initiation_interval=3),
+         ArchParams(parallel_threshold=4, cycles_per_pe_pass=2,
+                    parallel_unit_latency=0, sort_initiation_interval=3)]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_pricing_matches_the_event_by_event_oracle(arch):
+    """latency and double_package give the oracle's report and dict, on
+    plan traces, on pairs of different traces, on random traces and with
+    an empty package on either side."""
+    plans = list(schedule_traces())
+    empty = DecodeTrace(N=256, k=128, L=8)
+    pairs = [(t, t) for t in plans] + list(zip(plans, plans[1:] + plans[:1]))
+    pairs += [(t, empty) for t in plans] + [(empty, t) for t in plans]
+    pairs += [(empty, empty)] + [tuple(p) for p in random_trace_pairs()]
+    for a, b in pairs:
+        assert latency(a, arch) == oracle_latency(a, arch)
+        assert double_package(a, b, arch) == oracle_double_package(a, b,
+                                                                   arch)
+
+
+def test_calibration_hits_match_the_oracle():
+    for trace in schedule_traces():
+        if trace.L < 2:
+            continue
+        arch = ArchParams()
+        want = []
+        for cyc in range(2, 17):
+            table = tuple((s, cyc if s == trace.L else c)
+                          for s, c in arch.sort_latency)
+            ratio = oracle_double_package(
+                trace, trace, replace(arch, sort_latency=table))[
+                    "ratio_vs_single"]
+            if 2.0 / 1.586 <= ratio <= 1.30:
+                want.append((cyc, ratio))
+        assert calibrate_sort_latency(trace, arch) == want

@@ -163,7 +163,7 @@ def leaf_llr_from_block(vec, bits, dom):
             v = dom.f(v[h:], v[:h], t)
         else:
             s = polar_transform(np.array(bits[:h], dtype=np.uint8))
-            v = dom.g(v[h:], v[:h], s, t)
+            v = dom.g(v[h:], v[:h], 1 - 2 * s.astype(np.int8), t)
             bits = bits[h:]
     return v[0]
 
@@ -471,6 +471,71 @@ def test_every_bank_written_is_read(monkeypatch, profile):
     _, llr = noisy_llrs(spec, np.random.default_rng(12))
     decode(llr, spec, profile)
     assert not stale and not unread, (stale, sorted(unread))
+
+
+@pytest.mark.parametrize("profile, N", [("flexible", 128), ("ultra", 256)])
+def test_every_partial_sum_bank_holds_int8_signs(monkeypatch, profile, N):
+    """Partial sums are +1 for bit 0 and -1 for bit 1, one byte each, in
+    every bank a decode writes: leaf blocks, rate-0 and rate-1 nodes (and
+    the rate-1 recursion that small integer LLRs send zeros into), parity
+    and good leaves, and the cascade above them."""
+    banks = []
+    write = engine.PathStore.write
+
+    def tracked_write(self, kind, t, vals):
+        if kind == "ps":
+            banks.append(vals)
+        return write(self, kind, t, vals)
+    monkeypatch.setattr(engine.PathStore, "write", tracked_write)
+    spec = (pc_good_code(N) if profile == "flexible" else
+            construct_code(N, N // 2, "gaussian_approx", 2.0))
+    rng = np.random.default_rng(N)
+    noisy = np.stack([noisy_llrs(spec, rng)[1] for _ in range(2)])
+    small = rng.integers(-2, 3, (2, spec.N))
+    for llrs, arith in ((noisy, "quantized"), (noisy, "float"),
+                        (small, "quantized")):
+        decode_batch(llrs, spec, profile, arithmetic=arith)
+    assert banks
+    for vals in banks:
+        assert vals.dtype == np.int8
+        assert np.isin(vals, (-1, 1)).all()
+
+
+def test_pattern_sums_are_the_signs_of_the_pattern_transforms():
+    for W in (1, 2, 4, 8):
+        sums = engine._pattern_sums(W)
+        want = 1 - 2 * polar_transform(engine._pattern_tables(W)).astype(int)
+        assert sums.dtype == np.int8 and np.array_equal(sums, want)
+        assert not sums.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["zero", "negative_zero", "metric_cap"])
+def test_split_and_select_matches_bit_serial_chain_at_signed_edges(case):
+    """The signed split (bit 0 pays max(-llr, 0), bit 1 max(llr, 0))
+    against W one-bit expansions: at zero LLRs, at -0.0 in float, and with
+    quantized metrics at the q_sort cap, where children tie."""
+    rng = np.random.default_rng(len(case))
+    for _ in range(150):
+        P = int(rng.choice([1, 2, 4, 8]))
+        W = int(rng.choice([1, 2, 4, 8]))
+        L = int(rng.choice([1, 2, 4, 8]))
+        kinds = rng.choice([FREE, FROZEN, GOOD], W,
+                           p=[0.6, 0.2, 0.2]).astype(np.uint8)
+        if case == "metric_cap":
+            dom = QuantDomain(QuantProfile(q_sort=4), 4)
+            pms = rng.integers(12, 16, P)           # the cap is 15
+            vec = rng.integers(-3, 4, (P, W)).astype(dom.llr_dtype)
+        else:
+            dom = FloatDomain()
+            pms = rng.integers(0, 3, P).astype(float)
+            vec = rng.integers(-1, 2, (P, W)).astype(float)
+            if case == "negative_zero":
+                vec[vec == 0] = -0.0
+        got = split_and_select(pms, vec, kinds, L, domain=dom)
+        parent, bits, pm = serial_chain(pms, vec, kinds, L, dom)
+        assert np.array_equal(got["parent"], parent)
+        assert np.array_equal(got["bits"], bits)
+        assert np.array_equal(got["pm"], pm)
 
 
 def test_batch_equals_sequential():

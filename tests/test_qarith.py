@@ -19,6 +19,11 @@ def full_grid(width):
     return a.ravel(), b.ravel()
 
 
+def signs(bits, dtype=np.int8):
+    """The partial sums g takes: +1 for bit 0, -1 for bit 1."""
+    return (1 - 2 * np.asarray(bits, dtype=np.int64)).astype(dtype)
+
+
 def domain(q_i=6, q_sort=7, q_pm=6):
     """A fixed-point domain whose stage 0 is q_i bits wide."""
     return QuantDomain(QuantProfile(q_i=q_i, q_sort=q_sort, q_pm=q_pm), 1)
@@ -50,9 +55,9 @@ def test_g_combine_exhaustive(width):
     m = llr_max(width)
     dom = domain(q_i=width)
     for s in (0, 1):
-        bits = np.full(len(a), s, dtype=np.uint8)
-        got = dom.g(a, b, bits, 0)
-        got_float = FloatDomain.g(a.astype(float), b.astype(float), bits, 0)
+        sign = signs(np.full(len(a), s))
+        got = dom.g(a, b, sign, 0)
+        got_float = FloatDomain.g(a.astype(float), b.astype(float), sign, 0)
         for i in range(len(a)):
             x, y = int(a[i]), int(b[i])
             want = x + (y if s == 0 else -y)
@@ -131,12 +136,12 @@ def test_saturate_llr_range_and_idempotence():
     # g with a zero second operand is the stage's saturation alone
     d6, d7 = domain(q_i=6), domain(q_i=7)
     x = np.array([-100, -32, -31, 0, 31, 32, 100])
-    s = d6.g(x, 0, 0, 0)
+    s = d6.g(x, 0, 1, 0)
     assert np.array_equal(s, [-31, -31, -31, 0, 31, 31, 31])
-    assert np.array_equal(d6.g(s, 0, 0, 0), s)
+    assert np.array_equal(d6.g(s, 0, 1, 0), s)
     assert np.array_equal(d6.f(x, 100, 0), s)
     # widening never changes a value
-    assert np.array_equal(d7.g(s, 0, 0, 0), s)
+    assert np.array_equal(d7.g(s, 0, 1, 0), s)
 
 
 def test_hard_decision_convention():
@@ -191,9 +196,13 @@ def test_domains_share_kernel_semantics():
     a = rng.integers(-20, 21, 50)
     b = rng.integers(-20, 21, 50)
     assert np.array_equal(qd.f(a, b, 4), fd.f(a.astype(float), b.astype(float), 4))
-    g_int = qd.g(a, b, np.zeros(50, dtype=np.uint8), 4)
-    g_flt = fd.g(a.astype(float), b.astype(float), np.zeros(50), 4)
-    assert np.array_equal(g_int, np.clip(g_flt, -31, 31))
+    # both signs, so that a zeroed b cannot pass unnoticed
+    for sign in (signs(np.zeros(50)), signs(np.ones(50)),
+                 signs(rng.integers(0, 2, 50))):
+        g_int = qd.g(a, b, sign, 4)
+        g_flt = fd.g(a.astype(float), b.astype(float), sign, 4)
+        assert np.array_equal(g_int, np.clip(g_flt, -31, 31))
+        assert np.array_equal(g_flt, np.where(sign < 0, a - b, a + b))
 
 
 def test_llr_dtype_follows_the_widest_llr_word():
@@ -220,8 +229,7 @@ def test_kernels_at_width_15_saturation_corners():
     a16, b16 = a.astype(dom.llr_dtype), b.astype(dom.llr_dtype)
     assert a16.dtype == np.int16
     for s in (0, 1):
-        bits = np.full(len(a), s, dtype=np.uint8)
-        got = dom.g(a16, b16, bits, 0)
+        got = dom.g(a16, b16, signs(np.full(len(a), s)), 0)
         assert got.dtype == np.int16
         assert np.array_equal(got, np.clip(a + (-b if s else b), -m, m))
     got = dom.f(a16, b16, 0)
@@ -245,7 +253,9 @@ def sign_where_g(a, b, s, m):
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
 def test_kernels_match_the_sign_and_where_oracle_on_engine_shapes(dtype):
     """f and g equal the np.sign / np.where formulas on the operands the
-    engine passes, and keep the dtype of array operands."""
+    engine passes, with g given the partial sums as signs and the oracle
+    given them as bits, and keep the dtype of array operands (g takes
+    numpy's promotion of a wider sign array)."""
     rng = np.random.default_rng(7)
     dom = QuantDomain(QuantProfile(q_c=7, q_i=6, q_i_overrides=((2, 7),)), 4)
     U, h = 6, 4
@@ -257,27 +267,31 @@ def test_kernels_match_the_sign_and_where_oracle_on_engine_shapes(dtype):
         return rng.integers(0, 2, shape)
 
     vals, wide = llrs(U, 2 * h), llrs(U, 4 * h)
+    table, bank, rows, add = (bits(1, 1 << h, h), bits(U, 2 * h), bits(3, h),
+                              bits(U, 2 * h))
+    per_path = bits(U, h)
     cases = [
         # the leaf tables' broadcast against every left-half pattern
-        (vals[:, None, h:], vals[:, None, :h],
-         bits(1, 1 << h, h).astype(np.uint8)),
+        (vals[:, None, h:], vals[:, None, :h], table, signs(table)),
         # strided views of a bank, and of a partial-sum bank
-        (wide[:, 1::4], wide[:, 3::4], bits(U, 2 * h).astype(np.uint8)[:, ::2]),
-        (wide[::2, :h], wide[1::2, h:2 * h], bits(3, h).astype(np.uint8)),
+        (wide[:, 1::4], wide[:, 3::4], bank[:, ::2], signs(bank)[:, ::2]),
+        (wide[::2, :h], wide[1::2, h:2 * h], rows, signs(rows)),
         # the rate-0 pass's scalar s, and Python-int b as in saturation tests
-        (vals[:, :h], vals[:, h:], 0),
-        (vals, 0, 0),
-        (vals, 50, bits(U, 2 * h).astype(np.uint8)),
-        # partial sums as bool and int64 (any non-zero value is set)
-        (vals[:, :h], vals[:, h:], bits(U, h).astype(bool)),
-        (vals[:, :h], vals[:, h:], bits(U, h) * rng.integers(1, 9, (U, h))),
+        (vals[:, :h], vals[:, h:], 0, 1),
+        (vals[:, :h], vals[:, h:], 1, -1),
+        (vals, 0, 0, 1),
+        (vals, 50, add, signs(add)),
+        # partial sums as int8, int16 and int64 signs
+        (vals[:, :h], vals[:, h:], per_path, signs(per_path)),
+        (vals[:, :h], vals[:, h:], per_path, signs(per_path, np.int16)),
+        (vals[:, :h], vals[:, h:], per_path, signs(per_path, np.int64)),
     ]
-    for a, b, s in cases:
+    for a, b, u, s in cases:
         for stage in (0, 2, 4):
             m = llr_max(dom.widths[stage])
-            for got, want in ((dom.f(a, b, stage), sign_where_f(a, b, m)),
-                              (dom.g(a, b, s, stage),
-                               sign_where_g(a, b, s, m))):
-                assert np.array_equal(got, want)
-                if isinstance(b, np.ndarray):
-                    assert got.dtype == dtype
+            got_f, got_g = dom.f(a, b, stage), dom.g(a, b, s, stage)
+            assert np.array_equal(got_f, sign_where_f(a, b, m))
+            assert np.array_equal(got_g, sign_where_g(a, b, u, m))
+            if isinstance(b, np.ndarray):
+                assert got_f.dtype == dtype
+                assert got_g.dtype == np.result_type(dtype, s)
