@@ -5,6 +5,7 @@ Kronecker power of [[1,0],[1,1]] with no bit-reversal permutation, bit 0 is
 decoded first, and reliability vectors are indexed the same way.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -338,21 +339,44 @@ def good_bit_set(spec, reliability, threshold):
 
 # -- transform / encoding ----------------------------------------------------
 
+@functools.cache
+def _byte_transform():
+    """The transform of every 8-bit vector packed MSB-first, byte to byte."""
+    x = np.arange(256, dtype=np.uint8)
+    for h, upper in ((1, 0xAA), (2, 0xCC), (4, 0xF0)):
+        x ^= (x << h) & upper     # bit i ^= bit i + h, for i mod 2h < h
+    x.flags.writeable = False
+    return x
+
+
 def polar_transform(bits):
     """Multiply a bit vector by the Kronecker-power generator (an involution).
 
     Leading axes are rows: each vector along the last axis is transformed.
+    Takes 0/1 integers or bools in any memory layout and returns a fresh
+    uint8 array. It works on packed bytes: one table lookup does the three
+    levels inside a byte (zero padding keeps that exact below 8 bits), and
+    whole-byte xors do the wider ones.
     """
-    x = np.array(bits, dtype=np.uint8, copy=True)
+    x = np.asarray(bits)
+    if x.dtype != bool:
+        if x.dtype.kind not in "iu":
+            raise ValueError("polar_transform takes bits as integers or "
+                             "bools, got dtype %s" % x.dtype)
+        if x.size and (x.min() < 0 or x.max() > 1):
+            raise ValueError("polar_transform takes bits (0 or 1), got values "
+                             "from %d to %d" % (x.min(), x.max()))
     N = x.shape[-1]
     if N > 1:
         _block_log(N)
+    # packbits keeps a Fortran layout, and the xors need one C-order array.
+    y = np.ascontiguousarray(_byte_transform()[np.packbits(x, axis=-1)])
     h = 1
-    while h < N:
-        v = x.reshape(-1, 2 * h)          # a view: x is a fresh C-order copy
+    while h < y.shape[-1]:
+        v = y.reshape(-1, 2 * h)          # a view of y's rows
         v[:, :h] ^= v[:, h:]
         h *= 2
-    return x
+    return np.unpackbits(y, axis=-1, count=N)
 
 
 def crc_attach(bits, crc):

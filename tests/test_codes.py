@@ -5,10 +5,10 @@ import pytest
 
 from polarscl import codes
 from polarscl.codes import (
-    CRC_POLYNOMIALS, CrcSpec, ParityCheckSpec, bhattacharyya_profile,
-    build_message, construct_code, crc_attach, crc_check, crc_check_rows,
-    encode, extract_info, gaussian_approx_profile, good_bit_set,
-    load_code_spec, polar_transform, save_code_spec,
+    CRC_POLYNOMIALS, MAX_BLOCK_LOG, CrcSpec, ParityCheckSpec,
+    bhattacharyya_profile, build_message, construct_code, crc_attach,
+    crc_check, crc_check_rows, encode, extract_info, gaussian_approx_profile,
+    good_bit_set, load_code_spec, polar_transform, save_code_spec,
 )
 
 
@@ -38,12 +38,40 @@ def crc_remainder_slow(bits, crc):
 
 
 def test_polar_transform_matches_generator_matrix():
+    """u G for every N from 1 to 2^15, on rows, 2-D and 3-D batches, views
+    in any memory layout, bools and lists; the result is a fresh uint8
+    array. Up to N = 256 the reference is the explicit generator, beyond it
+    the Kronecker step u G_N = [(u_a ^ u_b) G_{N/2}, u_b G_{N/2}] on the
+    halves, whose transform the previous N checked."""
     rng = np.random.default_rng(0)
-    for n in (2, 4, 6):
-        G = kron_generator(n)
-        u = rng.integers(0, 2, (5, 1 << n)).astype(np.uint8)
-        for row in u:
-            assert np.array_equal(polar_transform(row), row @ G % 2)
+    for n in range(MAX_BLOCK_LOG + 1):
+        N = 1 << n
+        u = rng.integers(0, 2, (2, 3, N)).astype(np.uint8)
+        if n <= 8:
+            want = u.astype(np.int64) @ kron_generator(n) % 2
+        else:
+            a, b = u[..., :N // 2], u[..., N // 2:]
+            want = np.concatenate([polar_transform(a ^ b), polar_transform(b)],
+                                  axis=-1)
+        cases = [
+            (u, want), (u[1], want[1]), (u[0, 2], want[0, 2]),
+            (np.asfortranarray(u), want), (np.asfortranarray(u[0]), want[0]),
+            (u.T.copy().T, want),
+            (u.swapaxes(0, 1).copy().swapaxes(0, 1), want),
+            (u[..., ::-1].copy()[..., ::-1], want),
+            (u[:, ::-1][:, ::2], want[:, ::-1][:, ::2]),
+            (u.astype(bool), want), (u.astype(np.int64), want),
+        ]
+        for x, w in cases:
+            got = polar_transform(x)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous, N
+            assert np.array_equal(got, w), (N, x.shape, x.strides)
+            assert not np.shares_memory(got, x)
+        assert np.array_equal(polar_transform(u[0, 0].tolist()), want[0, 0])
+    for bad in ([0, 2, 1, 0], [0, -1], np.array([[1, 0], [0, 255]]),
+                np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="bits"):
+            polar_transform(bad)
 
 
 def test_polar_transform_hand_case():

@@ -14,7 +14,7 @@ from polarscl.engine import (
     decode_batch, llr_memory_summary, profile_for, schedule_trace,
     split_and_select,
 )
-from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile
+from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile, llr_max
 
 
 def noisy_llrs(spec, rng, sigma=0.8):
@@ -207,24 +207,27 @@ def test_split_and_select_matches_bit_serial_chain():
 @pytest.mark.parametrize("W", [1, 2, 4, 8])
 @pytest.mark.parametrize("arith", ["quantized", "float"])
 def test_llr_tables_hold_each_leaf_under_each_prefix(W, arith):
-    """Leaf j's table is (rows, 2^j), and entry [r, p] is leaf j of row
-    r's block after the MSB-first prefix p, recomputed bit-serially."""
+    """Leaf-major: the block goes in as (W, rows), leaf j's table is a
+    C-contiguous (2^j, rows), and entry [p, r] is leaf j of row r's block
+    after the MSB-first prefix p, recomputed bit-serially."""
     rng = np.random.default_rng(W)
     rows = 3
     if arith == "float":
         dom = FloatDomain(4)
-        vals = np.round(rng.normal(0, 3, (rows, W)), 3)
+        vals = np.round(rng.normal(0, 3, (W, rows)), 3)
     else:
         dom = QuantDomain(profile_for("ultra").quant, 4)
-        vals = rng.integers(-31, 32, (rows, W)).astype(dom.llr_dtype)
+        vals = rng.integers(-31, 32, (W, rows)).astype(dom.llr_dtype)
     leaves = engine._llr_tensor(vals, W.bit_length() - 1, dom)
     assert len(leaves) == W
     for j, table in enumerate(leaves):
-        assert table.shape == (rows, 1 << j)
+        assert table.shape == (1 << j, rows)
+        assert table.flags.c_contiguous
         for r in range(rows):
             for p in range(1 << j):
                 prefix = [(p >> (j - 1 - i)) & 1 for i in range(j)]
-                assert table[r, p] == leaf_llr_from_block(vals[r], prefix, dom)
+                assert table[p, r] == leaf_llr_from_block(vals[:, r], prefix,
+                                                          dom)
 
 
 def test_split_and_select_one_survivor_from_several_paths():
@@ -421,6 +424,42 @@ def test_recover_matches_reference_decisions():
             _u, paths, _pm = reference.scl_reference(
                 dom.channel(llr), spec, L, domain=dom)
             assert np.array_equal(a.survivors_u, paths), (kind, n)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+@pytest.mark.parametrize("arith", ["quantized", "float"])
+def test_rate0_pass_matches_a_leaf_by_leaf_walk(arith, rows):
+    """A rate-0 subtree of stage t gives int8 +1 partial sums and, for each
+    leaf j, the penalty of deciding 0 on the LLR a bit-serial walk reaches
+    after j zeros; pm_fold of them is the serial sum (float's left fold)."""
+    rng = np.random.default_rng(rows)
+    if arith == "float":
+        dom = FloatDomain(6)
+    else:
+        dom = QuantDomain(profile_for("ultra").quant, 6)
+    for t in range(7):
+        if arith == "float":
+            vals = np.round(rng.normal(0, 4, (rows, 1 << t)), 3)
+            pm = np.round(rng.uniform(0, 8, rows), 3)
+        else:
+            # The stage-t word's saturation corners, plus small values.
+            m = llr_max(dom.widths[t])
+            vals = rng.choice([-m, 1 - m, -1, 0, 1, m - 1, m],
+                              (rows, 1 << t)).astype(dom.llr_dtype)
+            pm = rng.integers(0, dom.pm_cap_sort + 1, rows)
+        beta, pens = engine._forced_eval(vals, "rate0", t, dom)
+        assert beta.dtype == np.int8 and beta.shape == (rows, 1 << t)
+        assert (beta == 1).all()
+        assert pens.shape == (rows, 1 << t)
+        want = np.zeros(pens.shape, dtype=pens.dtype)
+        serial = np.array(pm, dtype=dom.pm_dtype)
+        for r in range(rows):
+            for j in range(1 << t):
+                llr = leaf_llr_from_block(vals[r], [0] * j, dom)
+                want[r, j] = dom.pen(llr) if llr < 0 else 0
+                serial[r] = dom.pm_add(serial[r], want[r, j])
+        assert np.array_equal(pens, want), t
+        assert np.array_equal(dom.pm_fold(pm, pens), serial), t
 
 
 @pytest.mark.parametrize("L", [1, 8])
