@@ -15,6 +15,7 @@ function of (seed, code, decoder, SNR).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,20 @@ def frame_rng(seed, frame, snr_index=0):
         key=seed, counter=[frame, snr_index, 0, 0]))
 
 
-def transmit(bits, config, rng):
-    """Map coded bits onto the channel and return received LLRs."""
+def transmit(bits, config, rng=None, noise=None):
+    """Map coded bits onto the channel and return received LLRs.
+
+    Leading axes of bits are frames. The unit-variance noise is drawn from
+    rng, or read from ``noise`` (float64, bits' shape), which then receives
+    the LLRs in place.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
-    x = 1.0 - 2.0 * bits
-    y = x + rng.standard_normal(len(bits)) * config.sigma
-    return 2.0 * y / config.sigma2
+    y = rng.standard_normal(bits.shape) if noise is None else noise
+    y *= config.sigma
+    y += 1 - 2 * bits.view(np.int8)     # x = 1 - 2b: adding +-1.0 is exact
+    y *= 2.0
+    y /= config.sigma2
+    return y
 
 
 @dataclass
@@ -107,12 +116,13 @@ def run_fer(spec, profile, snr_db, seed=20260819, L=None,
     """
     if not isinstance(profile, DecoderProfile):
         profile = profile_for(profile)
-    if batch < 1:
-        raise ValueError("batch size must be at least 1")
-    if max_frames < 1:
-        raise ValueError("max_frames must be at least 1, got %r" % (max_frames,))
-    if max_errors < 1:
-        raise ValueError("max_errors must be at least 1, got %r" % (max_errors,))
+    for name, value in (("batch", batch), ("max_frames", max_frames),
+                        ("max_errors", max_errors)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %r" % (name, value))
+    batch, max_frames, max_errors = int(batch), int(max_frames), int(max_errors)
     snrs = np.atleast_1d(np.asarray(snr_db, dtype=float))
     bad = np.flatnonzero(~np.isfinite(snrs))
     if len(bad):
@@ -123,14 +133,15 @@ def run_fer(spec, profile, snr_db, seed=20260819, L=None,
         cfg = ChannelConfig(float(snr))
         frames = frame_errors = bit_errors = 0
         while frames < max_frames and frame_errors < max_errors:
-            nb = min(int(batch), max_frames - frames)
+            nb = min(batch, max_frames - frames)
             payloads = np.empty((nb, spec.payload_len), dtype=np.uint8)
             llrs = np.empty((nb, spec.N))
             for i in range(nb):
                 rng = frame_rng(seed, frames + i, si)
                 payloads[i] = rng.integers(0, 2, spec.payload_len)
-                u = build_message(payloads[i], spec)
-                llrs[i] = transmit(polar_transform(u), cfg, rng)
+                rng.standard_normal(out=llrs[i])
+            u = build_message(payloads, spec)
+            transmit(polar_transform(u), cfg, noise=llrs)
             res = decode_batch(llrs, spec, profile, L=L, arithmetic=arithmetic)
             nbad = np.count_nonzero(res.info_hat != payloads, axis=1)
             cum = np.cumsum(nbad > 0)

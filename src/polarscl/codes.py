@@ -474,22 +474,22 @@ def build_message(payload, spec):
 
     Payload bits fill the payload positions in index order; CRC bits (if
     any) occupy the last crc.width non-frozen positions; parity positions
-    are forced by their constraints; frozen positions are zero.
+    are forced by their constraints; frozen positions are zero. A
+    (count, payload_len) array of payloads gives (count, N) messages.
     """
     payload = np.asarray(payload, dtype=np.uint8)
-    if payload.shape != (spec.payload_len,):
+    if payload.ndim > 2 or payload.shape[-1:] != (spec.payload_len,):
         raise ValueError("payload must have length %d, got %r"
                          % (spec.payload_len, payload.shape))
-    u = np.zeros(spec.N, dtype=np.uint8)
-    u[spec.payload_positions] = payload
+    u = np.zeros(payload.shape[:-1] + (spec.N,), dtype=np.uint8)
+    u[..., spec.payload_positions] = payload
     if spec.crc is not None:
-        u[spec.crc_positions] = crc_attach(payload, spec.crc)[len(payload):]
+        rem = _crc_remainders(np.atleast_2d(payload), spec.crc)
+        u[..., spec.crc_positions] = rem if payload.ndim == 2 else rem[0]
     if spec.pc is not None:
         for parity, sources in spec.pc.constraints:
-            acc = 0
-            for s in sources:
-                acc ^= int(u[s])
-            u[parity] = acc
+            u[..., parity] = np.bitwise_xor.reduce(
+                u[..., list(sources)], axis=-1)
     return u
 
 

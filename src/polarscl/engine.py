@@ -182,11 +182,13 @@ class PathStore:
     row in that array (column t of the kind's map). Cloning copies no bank
     contents: ``reassign`` is one gather of both maps, after which a clone
     and its parent share the rows of every bank written so far (Tal and
-    Vardy's lazy copy).
+    Vardy's lazy copy). Until the next ``reassign``, every path's address
+    in a bank written since is its own row, so ``fresh`` holds those banks.
     """
 
     def __init__(self, n, rows):
         self.banks = {}
+        self.fresh = set()
         self.maps = np.zeros((rows, 2, n + 1), dtype=np.int64)
         self.map = {"llr": self.maps[:, 0], "ps": self.maps[:, 1]}
 
@@ -198,11 +200,13 @@ class PathStore:
     def write(self, kind, t, vals):
         """Replace the stage-t bank; row i of vals belongs to path i."""
         self.banks[(kind, t)] = vals
+        self.fresh.add((kind, t))
         self.map[kind][:len(vals), t] = np.arange(len(vals))
 
     def reassign(self, parents):
         """Survivor i inherits the banks of path parents[i] (clone step)."""
         self.maps[:len(parents)] = self.maps[parents]
+        self.fresh.clear()
 
 
 # -- static schedule -----------------------------------------------------------
@@ -376,7 +380,6 @@ def _pattern_sums(W):
 
 
 _S01 = np.array([False, True])
-_SIGNS = np.array([-1, 1], dtype=np.int8)     # bit 0 pays -llr, bit 1 llr
 
 
 def _llr_tensor(vals, w, domain):
@@ -440,10 +443,7 @@ def _block_candidates(cur, vals, kinds, parity_leaves, pc_acc, domain, w, L,
         llr = table.ravel().take(value * len(vals) + parent)
         kind = int(kinds[j])
         if kind == FREE:
-            # (paths, 2) metrics of the bit-0 and bit-1 children, which pay
-            # max(-llr, 0) and max(llr, 0): |llr| against llr < 0.
-            both = domain.pm_add(cur[:, None],
-                                 np.maximum(llr[:, None] * _SIGNS, 0))
+            both = domain.pm_split(cur, llr)    # bit-0 and bit-1 children
             if len(parent) == F and L == 1:
                 # One path per frame: pruning is the hard comparison, ties
                 # to bit 0 like the stable sort.
@@ -584,8 +584,12 @@ class _ListDecoder:
     # ---- bank access ----
 
     def _rows(self, kind, t):
-        """Each active path's row of the stage-t bank of a kind."""
+        """Each active path's row of the stage-t bank of a kind: the bank
+        itself when it is fresh and holds exactly the active rows, so no
+        caller may write into what this returns."""
         bank, rows = self.store.read(kind, t, self.rows)
+        if len(bank) == self.rows and (kind, t) in self.store.fresh:
+            return bank
         return bank[rows]
 
     def _vecs(self, step):

@@ -5,7 +5,8 @@ its only implementation: ``QuantDomain`` (fixed point) and ``FloatDomain``
 (the unclipped reference). Each has one check-node kernel ``f``, one
 variable-node kernel ``g``, one metric add (``pm_add``, folded over a
 block by ``pm_fold``) and one normalization (``pm_normalize``); the
-engine and the reference decoders both call them.
+engine and the reference decoders both call them. ``pm_split`` gives the
+two child metrics of a free leaf at once.
 
 In the fixed-point domain values are plain signed integers (or numpy
 integer arrays): a sign-magnitude word of width Q holds magnitudes
@@ -18,6 +19,11 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    from numpy._core.umath import clip as _clip          # numpy 2
+except ImportError:                                      # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 
 def llr_max(width):
@@ -82,6 +88,16 @@ def quantize_channel_llr(x, q_c=6, scale=1.0):
     return out if out.ndim else out[()]
 
 
+def _children(pm, llr):
+    """(paths, 2) metrics of the bit-0 and bit-1 child of each path: bit 0
+    adds max(-llr, 0) = pos - llr, exact in float too, and bit 1 pos."""
+    pos = np.maximum(llr, 0)
+    both = np.empty((len(pm), 2), dtype=np.result_type(pm, llr))
+    np.add(pm, pos - llr, out=both[:, 0])
+    np.add(pm, pos, out=both[:, 1])
+    return both
+
+
 class QuantDomain:
     """Fixed-point arithmetic for one code size n under a QuantProfile.
 
@@ -97,6 +113,8 @@ class QuantDomain:
         self.n = n
         self.widths = tuple(quant.width_for_stage(t, n) for t in range(n + 1))
         self.llr_dtype = np.int16 if max(self.widths) <= 15 else np.int32
+        self.bounds = tuple((self.llr_dtype(-llr_max(w)),
+                             self.llr_dtype(llr_max(w))) for w in self.widths)
         self.pm_cap_sort = (1 << quant.q_sort) - 1
         self.pm_cap_store = (1 << quant.q_pm) - 1
 
@@ -119,22 +137,23 @@ class QuantDomain:
     # the final clamp to the stage width: under int16 the inputs are at most
     # 2^14 - 1 in magnitude, so -max and g's sum fit. The clamp writes in
     # place into the kernel's own result, so a and b must broadcast to an
-    # array. The signs are int8, not the LLR dtype: int8 times int16 is
-    # still an int16 product, and partial-sum banks of int16 signs read a
-    # peak RSS of 60.2 MB in a 10 s perfbench fer_flexible run against
-    # 57.6 MB with int8 (2 vCPUs, numpy 2.4).
+    # array. It is one pass of the ``clip`` ufunc: np.minimum then np.maximum
+    # against a scalar bound get no SIMD loop, 451 against 28 us on an int16
+    # (1024, 512) array. Public np.clip wraps it in Python, about 4 us a
+    # call, and single-frame sc and ultra decodes ran 1.2-1.3x slower with
+    # it. The signs are int8, not the LLR dtype: int8 times int16 is still
+    # an int16 product, and int16 sign banks read a peak RSS of 60.2 MB in a
+    # 10 s perfbench fer_flexible run against 57.6 MB (2 vCPUs, numpy 2.4).
 
     def f(self, a, b, stage):
-        m = llr_max(self.widths[stage])
+        lo, hi = self.bounds[stage]
         out = np.maximum(np.minimum(a, b), -np.maximum(a, b))
-        np.minimum(out, m, out=out)
-        return np.maximum(out, -m, out=out)
+        return _clip(out, lo, hi, out=out)
 
     def g(self, a, b, s, stage):
-        m = llr_max(self.widths[stage])
+        lo, hi = self.bounds[stage]
         out = a + b * s
-        np.minimum(out, m, out=out)
-        return np.maximum(out, -m, out=out)
+        return _clip(out, lo, hi, out=out)
 
     @staticmethod
     def hd(llr):
@@ -146,6 +165,10 @@ class QuantDomain:
 
     def pm_add(self, pm, pen):
         return np.minimum(pm + pen, self.pm_cap_sort)
+
+    def pm_split(self, pm, llr):
+        both = _children(pm, llr)
+        return np.minimum(both, self.pm_cap_sort, out=both)
 
     def pm_fold(self, pm, pens):
         """Fold a trailing axis of penalties onto metrics.
@@ -199,6 +222,8 @@ class FloatDomain:
     @staticmethod
     def pm_add(pm, pen):
         return pm + pen
+
+    pm_split = staticmethod(_children)
 
     @staticmethod
     def pm_fold(pm, pens):

@@ -7,7 +7,9 @@ from polarscl.channel import (
     ChannelConfig, FERPoint, compare_curves, frame_rng, q_func,
     raw_bit_error_rate, run_fer, snr_at_fer, transmit,
 )
-from polarscl.codes import construct_code
+from polarscl.codes import (
+    CrcSpec, ParityCheckSpec, build_message, construct_code, polar_transform,
+)
 from polarscl.engine import profile_for
 
 
@@ -35,6 +37,14 @@ def test_transmit_llr_formula():
         def standard_normal(self, n):
             return np.zeros(n)
     assert np.all(transmit(np.zeros(4, np.uint8), cfg, NoNoise()) > 0)
+    # rows of bits with their noise drawn beforehand: the LLRs are written
+    # into the noise buffer and equal each row transmitted on its own
+    bits = np.random.default_rng(3).integers(0, 2, (4, 16)).astype(np.uint8)
+    noise = np.stack([frame_rng(9, f).standard_normal(16) for f in range(4)])
+    want = np.stack([transmit(b, cfg, frame_rng(9, f))
+                     for f, b in enumerate(bits)])
+    got = transmit(bits, cfg, noise=noise)
+    assert got is noise and np.array_equal(got, want)
 
 
 def test_raw_bit_error_rate_is_qfunction():
@@ -116,6 +126,59 @@ def test_run_fer_rejects_empty_budgets():
         run_fer(spec, prof, 2.0, L=1, max_frames=0)
     with pytest.raises(ValueError, match="max_errors must be at least 1"):
         run_fer(spec, prof, 2.0, L=1, max_errors=-3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch", 2.5), ("batch", True), ("max_frames", 3.5),
+    ("max_frames", np.float64(4.0)), ("max_errors", 1.5),
+    ("max_errors", False), ("batch", "8"),
+])
+def test_run_fer_rejects_non_integral_counts(name, value):
+    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+    with pytest.raises(ValueError, match="%s must be an integer" % name):
+        run_fer(spec, "sc", 2.0, L=1, **{name: value})
+
+
+def test_run_fer_counts_are_python_ints():
+    spec = construct_code(64, 32, method="bhattacharyya", design_param=0.5)
+    p = run_fer(spec, "sc", -10.0, L=1, max_frames=np.int64(4),
+                max_errors=np.int32(3), batch=np.int64(2))[0]
+    for field in ("frames", "frame_errors", "bit_errors", "payload_bits"):
+        assert type(getattr(p, field)) is int, field
+    assert (p.frames, p.frame_errors) == (3, 3)
+
+
+@pytest.mark.parametrize("code", ["crc", "parity"])
+def test_run_fer_frames_equal_one_frame_at_a_time(monkeypatch, code):
+    """The batch's payloads and LLRs equal transmitting each frame's
+    message on its own substream, in a partial last batch too."""
+    import polarscl.channel as channel
+
+    base = construct_code(64, 32, method="bhattacharyya", design_param=0.5,
+                          crc=CrcSpec(8))
+    if code == "parity":
+        nf = base.nonfrozen_positions
+        base = construct_code(64, 32, method="bhattacharyya", design_param=0.5,
+                              pc=ParityCheckSpec([(int(nf[9]),
+                                                   (int(nf[2]), int(nf[5])))]))
+    seen = []
+    decode_batch = channel.decode_batch
+
+    def capture(llrs, *args, **kwargs):
+        seen.append(llrs.copy())
+        return decode_batch(llrs, *args, **kwargs)
+    monkeypatch.setattr(channel, "decode_batch", capture)
+    run_fer(base, "sc", [1.0, 3.0], seed=5, L=1, max_frames=7, max_errors=8,
+            batch=3)
+    assert [len(x) for x in seen] == [3, 3, 1] * 2
+    for si, snr in enumerate((1.0, 3.0)):
+        got = np.concatenate(seen[3 * si:3 * si + 3])
+        for f in range(7):
+            rng = frame_rng(5, f, si)
+            payload = rng.integers(0, 2, base.payload_len)
+            want = transmit(polar_transform(build_message(payload, base)),
+                            ChannelConfig(snr), rng)
+            assert np.array_equal(got[f], want), (snr, f)
 
 
 def test_run_fer_snr_grid_and_progress():

@@ -246,6 +246,32 @@ def test_build_message_layout():
     assert np.array_equal(extract_info(u, spec), payload)
 
 
+def test_build_message_rows_equal_one_at_a_time():
+    """A (count, payload_len) array of payloads gives the messages that
+    each row gives alone, with CRC bits and parity constraints."""
+    base = construct_code(64, 32, method="bhattacharyya", design_param=0.5,
+                          crc=CrcSpec(8))
+    nf = base.nonfrozen_positions
+    pc = ParityCheckSpec([(int(nf[6]), (int(nf[1]), int(nf[4]))),
+                          (int(nf[11]), (int(nf[0]), int(nf[6]))),
+                          (int(nf[13]), ())])
+    rng = np.random.default_rng(10)
+    for spec in (base, construct_code(64, 32, method="bhattacharyya",
+                                      design_param=0.5, pc=pc),
+                 construct_code(64, 32, method="bhattacharyya",
+                                design_param=0.5, crc=CrcSpec(8), pc=pc)):
+        payloads = rng.integers(0, 2, (5, spec.payload_len)).astype(np.uint8)
+        got = build_message(payloads, spec)
+        assert got.shape == (5, 64) and got.dtype == np.uint8
+        for row, payload in zip(got, payloads):
+            assert np.array_equal(row, build_message(payload, spec))
+        assert build_message(payloads[:0], spec).shape == (0, 64)
+        with pytest.raises(ValueError, match="payload must have length"):
+            build_message(payloads[:, 1:], spec)
+        with pytest.raises(ValueError, match="payload must have length"):
+            build_message(payloads[None], spec)
+
+
 def test_parity_check_attachment():
     base = construct_code(32, 16, method="bhattacharyya", design_param=0.5)
     nf = np.flatnonzero(~base.frozen_mask)

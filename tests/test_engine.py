@@ -577,6 +577,103 @@ def test_split_and_select_matches_bit_serial_chain_at_signed_edges(case):
         assert np.array_equal(got["pm"], pm)
 
 
+class BroadcastSplit:
+    """A domain whose child metrics come from the former broadcast multiply
+    of each LLR by the signs (-1, 1); every other method is the wrapped
+    domain's."""
+
+    def __init__(self, dom):
+        self.dom = dom
+
+    def __getattr__(self, name):
+        return getattr(self.dom, name)
+
+    def pm_split(self, pm, llr):
+        pens = np.maximum(llr[:, None] * np.array([-1, 1], dtype=np.int8), 0)
+        return self.dom.pm_add(pm[:, None], pens)
+
+
+@pytest.mark.parametrize("arith", ["quantized", "float"])
+def test_split_and_select_unchanged_by_the_child_metric_kernel(arith):
+    """split_and_select gives the same parents, bits and metrics with the
+    one-pass child metrics as with the broadcast form, near the quantized
+    metric cap and at signed zeros in float."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        P = int(rng.choice([1, 2, 4, 8]))
+        W = int(rng.choice([1, 2, 4, 8]))
+        L = int(rng.choice([1, 2, 4, 8]))
+        kinds = rng.choice([FREE, FROZEN, GOOD], W,
+                           p=[0.6, 0.2, 0.2]).astype(np.uint8)
+        if arith == "quantized":
+            dom = QuantDomain(QuantProfile(q_sort=5), 4)
+            pms = rng.integers(20, 32, P)           # the cap is 31
+            vec = rng.integers(-31, 32, (P, W))
+        else:
+            dom = FloatDomain()
+            pms = rng.integers(0, 3, P).astype(float)
+            vec = rng.integers(-2, 3, (P, W)) * 0.5
+            vec[vec == 0] *= rng.choice([-1.0, 1.0], int((vec == 0).sum()))
+        got = split_and_select(pms, vec, kinds, L, domain=dom)
+        want = split_and_select(pms, vec, kinds, L, domain=BroadcastSplit(dom))
+        for key in ("parent", "bits", "pattern", "pm", "sorted", "candidates"):
+            assert np.array_equal(got[key], want[key]), key
+
+
+def read_only_decodes(monkeypatch, spec, llrs):
+    """Every profile and arithmetic decoding llrs, with each bank made
+    read-only as it is written: a write into a bank that _rows returned
+    without a copy raises instead of changing what another path reads."""
+    write = engine.PathStore.write
+
+    def frozen_write(self, kind, t, vals):
+        vals.flags.writeable = False
+        return write(self, kind, t, vals)
+    out = {}
+    for frozen in (False, True):
+        if frozen:
+            monkeypatch.setattr(engine.PathStore, "write", frozen_write)
+        for profile in ("sc", "flexible", "ultra"):
+            for arith in ("quantized", "float"):
+                res = decode_batch(llrs, spec, profile, arithmetic=arith)
+                out.setdefault((profile, arith), []).append(res)
+    return out
+
+
+@pytest.mark.parametrize("code", ["crc", "parity"])
+def test_banks_read_without_a_copy_are_never_written(monkeypatch, code):
+    spec = (construct_code(128, 64, "bhattacharyya", 0.5, crc=CrcSpec(8))
+            if code == "crc" else pc_good_code(128))
+    rng = np.random.default_rng(14)
+    llrs = np.stack([noisy_llrs(spec, rng)[1] for _ in range(3)])
+    for key, (plain, frozen) in read_only_decodes(monkeypatch, spec,
+                                                  llrs).items():
+        for field in ("u_hat", "survivors_u", "survivors_pm", "crc_pass",
+                      "selected_path"):
+            assert np.array_equal(getattr(plain, field),
+                                  getattr(frozen, field)), (key, field)
+
+
+def test_rows_returns_fresh_banks_and_gathers_after_a_clone():
+    spec = construct_code(16, 8, "bhattacharyya", 0.5)
+    dec = engine._ListDecoder(spec, profile_for("flexible"), 4,
+                              FloatDomain(4), 1)
+    chan = np.arange(16.0)[None]
+    dec.store.write("llr", 4, chan)
+    assert dec._rows("llr", 4) is chan
+    dec._apply_parents(np.array([0, 0]), dec.steps[-1])
+    got = dec._rows("llr", 4)
+    assert got is not chan and np.array_equal(got, chan[[0, 0]])
+    # a bank written after the clone holds the active rows again...
+    bank = np.arange(16.0).reshape(2, 8)
+    dec.store.write("llr", 3, bank)
+    assert dec._rows("llr", 3) is bank
+    # ...until the next clone, even one that keeps the row count
+    dec._apply_parents(np.array([1, 1]), dec.steps[-1])
+    got = dec._rows("llr", 3)
+    assert got is not bank and np.array_equal(got, bank[[1, 1]])
+
+
 def test_batch_equals_sequential():
     rng = np.random.default_rng(7)
     spec = construct_code(256, 128, method="bhattacharyya", design_param=0.5,

@@ -5,6 +5,7 @@ computed with unbounded arithmetic followed by one clamp."""
 import numpy as np
 import pytest
 
+from polarscl import qarith
 from polarscl.qarith import FloatDomain, QuantDomain, QuantProfile, llr_max
 
 
@@ -255,9 +256,17 @@ def test_kernels_match_the_sign_and_where_oracle_on_engine_shapes(dtype):
     """f and g equal the np.sign / np.where formulas on the operands the
     engine passes, with g given the partial sums as signs and the oracle
     given them as bits, and keep the dtype of array operands (g takes
-    numpy's promotion of a wider sign array)."""
+    numpy's promotion of a wider sign array). A 16-bit channel word makes
+    the LLR dtype int32, whose clamp bounds are int32 scalars."""
+    for q_c in (7, 16):
+        dom = QuantDomain(
+            QuantProfile(q_c=q_c, q_i=6, q_i_overrides=((2, 7),)), 4)
+        assert dom.llr_dtype == (np.int32 if q_c > 15 else np.int16)
+        check_engine_shapes(dom, dtype)
+
+
+def check_engine_shapes(dom, dtype):
     rng = np.random.default_rng(7)
-    dom = QuantDomain(QuantProfile(q_c=7, q_i=6, q_i_overrides=((2, 7),)), 4)
     U, h = 6, 4
 
     def llrs(*shape):
@@ -295,3 +304,55 @@ def test_kernels_match_the_sign_and_where_oracle_on_engine_shapes(dtype):
             if isinstance(b, np.ndarray):
                 assert got_f.dtype == dtype
                 assert got_g.dtype == np.result_type(dtype, s)
+
+
+def test_clip_kernel_is_a_ufunc():
+    """f and g clamp with the ``clip`` ufunc resolved at import (numpy 2 and
+    1.x keep it in different modules), not with the np.clip wrapper."""
+    assert isinstance(qarith._clip, np.ufunc)
+    x = np.array([-9, -3, 0, 3, 9], dtype=np.int16)
+    assert qarith._clip(x, np.int16(-4), np.int16(4), out=x) is x
+    assert np.array_equal(x, [-4, -3, 0, 3, 4]) and x.dtype == np.int16
+
+
+def broadcast_children(dom, pm, llr):
+    """The former child-metric step: each metric plus max(-llr, 0) for bit
+    0 and max(llr, 0) for bit 1, from a broadcast multiply by the signs."""
+    pens = np.maximum(np.asarray(llr)[:, None]
+                      * np.array([-1, 1], dtype=np.int8), 0)
+    return dom.pm_add(np.asarray(pm)[:, None], pens)
+
+
+@pytest.mark.parametrize("q_sort", [4, 7])
+def test_pm_split_matches_the_broadcast_form_at_the_cap(q_sort):
+    """Quantized: every metric from 0 past the q_sort cap against every
+    LLR of the stage width, so children at, one under and one over the cap
+    all occur."""
+    dom = domain(q_i=6, q_sort=q_sort)
+    cap = dom.pm_cap_sort
+    m = llr_max(6)
+    pm, llr = (x.ravel() for x in np.meshgrid(
+        np.arange(0, cap + 2, dtype=np.int64),
+        np.arange(-m, m + 1).astype(dom.llr_dtype), indexing="ij"))
+    got = dom.pm_split(pm, llr)
+    want = broadcast_children(dom, pm, llr)
+    assert got.shape == (len(pm), 2) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.max() == cap and (got == cap - 1).any()
+
+
+def test_pm_split_matches_the_broadcast_form_in_float():
+    """Float: signed zeros, and LLRs so small against the metric that the
+    sum rounds back to the metric, give the broadcast form's values."""
+    tiny = np.finfo(float).eps / 8
+    llr = np.array([0.0, -0.0, 1.5, -1.5, tiny, -tiny, 1e-300, -1e-300,
+                    5e-324, -5e-324])
+    for base in (0.0, 1.0, 3.25e6):
+        pm = np.full(len(llr), base)
+        got = FloatDomain.pm_split(pm, llr)
+        want = broadcast_children(FloatDomain, pm, llr)
+        assert np.array_equal(got, want)
+        assert not np.signbit(got).any()
+        if base:
+            # below one ulp of the metric, both children keep the metric
+            assert (got[4:] == base).all()
